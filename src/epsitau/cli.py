@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: translate, eliminate, check, verify, rank, degree, classify,
-reconstruct, schemas.  Exit codes: 0 success/valid, 1 invalid or failure
-report, 2 usage error, 3 budget exceeded.
+reconstruct, schemas.  Exit codes: 0 success/valid, 1 invalid, failure
+report or failed check, 2 usage error, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -103,52 +103,30 @@ def _trace_lines(trace: elim.EliminationTrace) -> list[str]:
 
 def cmd_eliminate(args) -> int:
     j = load_judgment(Path(args.judgment).read_text())
-    verify = args.verify in ("steps", "full")
-    if args.driver == "hb":
-        trace = elim.run_elimination(j, verify=verify, budget=args.budget)
-    elif args.driver == "weak-lin":
-        out = elim.run_weak_lin(j)
-        if isinstance(out, elim.FailureReport):
-            payload = {
-                "failure": {
-                    "step": out.step_index,
-                    "target": to_text(out.target),
-                    "formula": to_text(out.formula),
-                    "reason": out.reason,
-                }
+    out = elim.run_elimination(
+        j, verify=args.verify != "none", budget=args.budget, driver=args.driver
+    )
+    if isinstance(out, elim.FailureReport):
+        payload = {
+            "failure": {
+                "step": out.step_index,
+                "target": to_text(out.target),
+                "formula": to_text(out.formula),
+                "reason": out.reason,
             }
-            _emit(args, payload, [str(out)])
-            return EXIT_INVALID
-        trace = out
-        if verify:
-            for st in trace.steps:
-                if not semantics.verify_judgment(st.after, budget=args.budget):
-                    print(f"verification failed after step: {to_text(st.target)}", file=sys.stderr)
-                    return EXIT_INVALID
-    else:  # jankov: one complete step on the selected maximal term
-        readings = elim.judgment_readings(j)
-        if not readings:
-            trace = elim.EliminationTrace((), j.goal, ())
-        else:
-            from .critical import select_max
-
-            e = select_max(list(readings))
-            step = elim.eliminate_negated_jankov(j, e)
-            trace = elim.EliminationTrace((step,), step.after.goal, ())
-        if verify:
-            for st in trace.steps:
-                if not semantics.verify_judgment(st.after, budget=args.budget):
-                    print(f"verification failed after step: {to_text(st.target)}", file=sys.stderr)
-                    return EXIT_INVALID
-    if args.verify == "full" and args.driver in ("hb", "weak-lin"):
-        final = Judgment(j.logic, (), (), trace.result)
+        }
+        _emit(args, payload, [str(out)])
+        return EXIT_INVALID
+    # jankov's result keeps its epsilon terms, and kc is decided as plain H
+    if args.verify == "full" and args.driver != "jankov":
+        final = Judgment(j.logic, (), (), out.result)
         if not semantics.verify_judgment(final, budget=args.budget):
-            print("final result failed the backend check", file=sys.stderr)
+            print("verification failed: final result", file=sys.stderr)
             return EXIT_INVALID
     if args.format == "json":
-        print(elim.trace_to_json(trace, j.logic))
+        print(elim.trace_to_json(out, j.logic))
     else:
-        for line in _trace_lines(trace):
+        for line in _trace_lines(out):
             print(line)
     return EXIT_OK
 
@@ -237,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max valuations per check")
-    ap.add_argument("--seed", type=int, default=0, help="seed echoed into reproducible runs")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("translate", help="epsilon/tau translation of a formula")
@@ -257,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eliminate", help="run critical formula elimination on a judgment file")
     p.add_argument("judgment")
-    p.add_argument("--driver", choices=("hb", "weak-lin", "jankov"), default="hb")
+    p.add_argument("--driver", choices=tuple(elim.DRIVERS), default="hb")
     p.add_argument("--verify", choices=("none", "steps", "full"), default="none")
     p.set_defaults(fn=cmd_eliminate)
 
@@ -297,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as ex:
         print(f"budget exceeded: {ex}", file=sys.stderr)
         return EXIT_BUDGET
+    except elim.EliminationError as ex:
+        print(ex, file=sys.stderr)
+        return EXIT_INVALID
     except (ParseError, ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE

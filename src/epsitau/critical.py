@@ -26,14 +26,14 @@ from .syntax import (
     Var,
     _children,
     abstract_var,
+    canonical_text,
+    dedup,
     etau_subterms,
     free_vars,
     instantiate,
     is_quantifier_free,
-    locally_closed,
     match_matrix,
     occurs,
-    sort_key,
     to_text,
 )
 
@@ -118,8 +118,10 @@ def recognize_critical(phi: Formula) -> list[CriticalFormula]:
             continue
         for witness in _solve_body(body, solved):
             readings.append(CriticalFormula(_kind_of(e), e, witness))
-    readings.sort(key=lambda c: (c.kind, sort_key(c.critical_term), sort_key(c.witness)))
-    return _dedup_readings(readings)
+    readings.sort(
+        key=lambda c: (c.kind, canonical_text(c.critical_term), canonical_text(c.witness))
+    )
+    return list(dedup(readings))
 
 
 def _kind_of(e: Term) -> str:
@@ -135,14 +137,6 @@ def _solve_body(body: Formula, target: Formula) -> list[Term]:
     hole = "?hole"
     opened = instantiate(body, Var(hole))
     return [t for t in match_matrix(opened, hole, target) if t != Var(hole)]
-
-
-def _dedup_readings(readings: list[CriticalFormula]) -> list[CriticalFormula]:
-    out: list[CriticalFormula] = []
-    for r in readings:
-        if r not in out:
-            out.append(r)
-    return out
 
 
 def is_predicative(c: CriticalFormula) -> bool:
@@ -178,16 +172,7 @@ def nested_subterms(e: Term) -> list[Term]:
     """
     if not isinstance(e, BINDER_TERMS):
         return []
-    out: list[Term] = []
-
-    def walk(node: Obj) -> None:
-        if isinstance(node, BINDER_TERMS) and locally_closed(node) and node not in out:
-            out.append(node)
-        for k in _children(node):
-            walk(k)
-
-    walk(e.body)
-    return out
+    return etau_subterms(e.body)
 
 
 def subordinate_subterms(e: Term) -> list[Term]:
@@ -242,4 +227,4 @@ def select_max(critical_terms: Iterable[Term]) -> Term:
     terms = list(critical_terms)
     if not terms:
         raise ValueError("no critical terms to select from")
-    return min(terms, key=lambda t: (-rank(t), -degree(t), sort_key(t)))
+    return min(terms, key=lambda t: (-rank(t), -degree(t), canonical_text(t)))

@@ -33,9 +33,11 @@ from .syntax import (
     Not,
     Or,
     Signature,
+    Tau,
     Term,
     Var,
     and_join,
+    canonical_text,
     contains_etau,
     dedup,
     eps,
@@ -45,13 +47,13 @@ from .syntax import (
     match_holes,
     or_join,
     or_spine,
-    sort_key,
     subst_term,
     subst_var,
     to_text,
 )
 
 __all__ = [
+    "DRIVERS",
     "EliminationError",
     "EliminationStep",
     "EliminationTrace",
@@ -69,7 +71,6 @@ __all__ = [
     "judgment_measure",
     "reconstruct_from_herbrand",
     "run_elimination",
-    "run_weak_lin",
     "strengthen_premise",
     "theorem_form_convert",
     "trace_to_json",
@@ -125,13 +126,17 @@ def judgment_readings(j: Judgment) -> dict[Term, list[tuple[Formula, CriticalFor
     """Critical terms of the judgment, with the formulas and readings per term.
 
     Premises without any reading are substitution residues; they stay in the
-    criticals bucket but never drive an elimination.
+    criticals bucket but never drive an elimination.  The index is built on
+    first use and kept, shared and unchanged, on the judgment, so each
+    judgment is read once.
     """
-    out: dict[Term, list[tuple[Formula, CriticalFormula]]] = {}
-    for f in j.criticals:
-        for r in recognize_critical(f):
-            out.setdefault(r.critical_term, []).append((f, r))
-    return out
+    if j.reading_index is None:
+        out: dict[Term, list[tuple[Formula, CriticalFormula]]] = {}
+        for f in j.criticals:
+            for r in recognize_critical(f):
+                out.setdefault(r.critical_term, []).append((f, r))
+        object.__setattr__(j, "reading_index", out)
+    return j.reading_index
 
 
 def judgment_critical_terms(j: Judgment) -> list[Term]:
@@ -169,36 +174,44 @@ def _witnesses(pairs: list[tuple[Formula, CriticalFormula]]) -> list[Term]:
     return list(dedup([r.witness for _, r in pairs]))
 
 
-def _split_criticals(
-    j: Judgment, e: Term
-) -> tuple[list[tuple[Formula, CriticalFormula]], list[Formula]]:
-    """(readings at e, remaining premises) in premise order."""
-    readings = judgment_readings(j).get(e, [])
-    lam = {f for f, _ in readings}
-    rest = [f for f in j.criticals if f not in lam]
-    return readings, rest
+def _impredicative(pairs: list[tuple[Formula, CriticalFormula]]) -> list[Formula]:
+    return [f for f, r in pairs if not is_predicative(r)]
 
 
 def _step(
     j: Judgment,
     e: Term,
-    eliminated: Sequence[Formula],
-    elim_set: Sequence[Term],
-    new_criticals: Sequence[Formula],
-    new_instances: Sequence[Formula],
+    schema: Callable[[list[Term], list[Formula]], tuple[Sequence[Term], Sequence[Formula]]],
+    take: Callable[[CriticalFormula], bool] = lambda r: True,
 ) -> EliminationStep:
+    """The elimination skeleton every step constructor is built on.
+
+    The readings at e are split into those to eliminate (``take``) and those
+    kept as premises unchanged; an e with nothing to eliminate is rejected.
+    ``schema`` maps the witnesses w of the eliminated readings and their
+    atoms A(w) to the elimination set and the schema instances recorded.
+    The goal is disjoined over the set, and the premises and instances that
+    are not readings at e are substituted across it.
+    """
+    readings = judgment_readings(j).get(e, [])
+    taken = [(f, r) for f, r in readings if take(r)]
+    if not taken:
+        raise ValueError(f"no critical formulas of {to_text(e)} to eliminate")
+    ws = _witnesses(taken)
+    elim_set, new_instances = schema(ws, [_at(e, w) for w in ws])
+    at_e = {f for f, _ in readings}
+    rest = [f for f in j.criticals if f not in at_e]
+    kept = [f for f, r in readings if not take(r)]
     goal, raw = _expand(j.goal, e, elim_set)
-    instances = dedup(
-        _subst_set(j.instances, e, elim_set) + list(new_instances)
-    )
-    after = Judgment(j.logic, dedup(new_criticals), instances, goal)
+    instances = dedup(_subst_set(j.instances, e, elim_set) + list(new_instances))
+    criticals = dedup(_subst_set(rest, e, elim_set) + kept)
     return EliminationStep(
         target=e,
-        eliminated=tuple(eliminated),
+        eliminated=tuple(f for f, _ in taken),
         elimination_set=tuple(elim_set),
         axiom_instances_used=tuple(new_instances),
         before=j,
-        after=after,
+        after=Judgment(j.logic, criticals, instances, goal),
         raw_disjunct_count=raw,
     )
 
@@ -266,32 +279,28 @@ def eliminate_single_classical(j: Judgment, c: CriticalFormula) -> EliminationSt
     if c.rendered not in j.criticals:
         raise ValueError(f"not a premise: {to_text(c.rendered)}")
     e = c.critical_term
-    readings, rest = _split_criticals(j, e)
-    retained = [f for f, _ in readings if f != c.rendered]
-    s = c.witness
-    elim_set = dedup([e, s])
-    a_s = _at(e, s)
-    instance = Or(a_s, Not(a_s)) if c.kind == "eps" else Or(Not(a_s), a_s)
-    new_criticals = _subst_set(rest, e, elim_set) + retained
-    return _step(j, e, [c.rendered], elim_set, new_criticals, [instance])
+
+    def schema(ws, pos):
+        [a_s] = pos
+        instance = Or(a_s, Not(a_s)) if c.kind == "eps" else Or(Not(a_s), a_s)
+        return dedup([e] + ws), [instance]
+
+    return _step(j, e, schema, take=lambda r: r == c)
 
 
 def eliminate_complete_classical(j: Judgment, e: Term) -> EliminationStep:
     """Remove all critical formulas of e at once; at most k+1 goal disjuncts."""
     if j.logic.kind != "classical":
         raise ValueError("complete classical elimination needs classical logic")
-    readings, rest = _split_criticals(j, e)
-    if not readings:
-        raise ValueError(f"term is not critical in the judgment: {to_text(e)}")
-    ws = _witnesses(readings)
-    elim_set = dedup([e] + ws)
-    pos = [_at(e, s) for s in ws]
-    if isinstance(e, Eps):
-        instance = or_join(pos + [and_join([Not(p) for p in pos])])
-    else:
-        instance = or_join([and_join(pos)] + [Not(p) for p in pos])
-    new_criticals = _subst_set(rest, e, elim_set)
-    return _step(j, e, [f for f, _ in readings], elim_set, new_criticals, [instance])
+
+    def schema(ws, pos):
+        if isinstance(e, Eps):
+            instance = or_join(pos + [and_join([Not(p) for p in pos])])
+        else:
+            instance = or_join([and_join(pos)] + [Not(p) for p in pos])
+        return dedup([e] + ws), [instance]
+
+    return _step(j, e, schema)
 
 
 def eliminate_negated_jankov(j: Judgment, e: Term) -> EliminationStep:
@@ -300,18 +309,17 @@ def eliminate_negated_jankov(j: Judgment, e: Term) -> EliminationStep:
         raise ValueError(f"logic {j.logic} does not prove weak excluded middle")
     if not isinstance(j.goal, Not):
         raise ValueError("the goal must be a negation")
-    readings, rest = _split_criticals(j, e)
-    if not readings:
-        raise ValueError(f"term is not critical in the judgment: {to_text(e)}")
-    ws = _witnesses(readings)
-    elim_set = dedup([e] + ws)
-    pos = [_at(e, s) for s in ws]
-    if isinstance(e, Eps):
-        instance = Or(and_join([Not(p) for p in pos]), or_join([Not(Not(p)) for p in pos]))
-    else:
-        instance = Or(and_join([Not(Not(p)) for p in pos]), or_join([Not(p) for p in pos]))
-    new_criticals = _subst_set(rest, e, elim_set)
-    return _step(j, e, [f for f, _ in readings], elim_set, new_criticals, [instance])
+
+    def schema(ws, pos):
+        negs = [Not(p) for p in pos]
+        dnegs = [Not(Not(p)) for p in pos]
+        if isinstance(e, Eps):
+            instance = Or(and_join(negs), or_join(dnegs))
+        else:
+            instance = Or(and_join(dnegs), or_join(negs))
+        return dedup([e] + ws), [instance]
+
+    return _step(j, e, schema)
 
 
 def eliminate_predicative_lin(j: Judgment, e: Term) -> EliminationStep:
@@ -322,33 +330,49 @@ def eliminate_predicative_lin(j: Judgment, e: Term) -> EliminationStep:
     """
     if not j.logic.proves_lin:
         raise ValueError(f"logic {j.logic} does not prove linearity")
-    readings, rest = _split_criticals(j, e)
-    if not readings:
-        raise ValueError(f"term is not critical in the judgment: {to_text(e)}")
-    bad = [f for f, r in readings if not is_predicative(r)]
+    bad = _impredicative(judgment_readings(j).get(e, []))
     if bad:
         raise ValueError(f"impredicative critical formula for {to_text(e)}: {to_text(bad[0])}")
-    ws = _witnesses(readings)
-    pos = [_at(e, u) for u in ws]
-    if isinstance(e, Eps):
-        instance = or_join([and_join([Implies(pi, pj) for pi in pos]) for pj in pos])
-    else:
-        instance = or_join([and_join([Implies(pj, pi) for pi in pos]) for pj in pos])
-    new_criticals = _subst_set(rest, e, ws)
-    return _step(j, e, [f for f, _ in readings], ws, new_criticals, [instance])
+
+    def schema(ws, pos):
+        if isinstance(e, Eps):
+            instance = or_join([and_join([Implies(pi, pj) for pi in pos]) for pj in pos])
+        else:
+            instance = or_join([and_join([Implies(pj, pi) for pi in pos]) for pj in pos])
+        return ws, [instance]
+
+    return _step(j, e, schema)
 
 
-def _apply_word(word: Sequence[Term], e: Term, base: Term) -> Term:
-    out = base
+def _apply_word(word: Sequence[Term], e: Term) -> Term:
+    out = e
     for ctx in reversed(word):
         out = subst_term(ctx, e, out)
     return out
 
 
-def _chain(e: Term, path: Sequence[Term], kind: str) -> Formula:
+def _words_below(e: Term, contexts: Sequence[Term], m: int) -> list[Term]:
+    """Every word of length < m over the contexts, applied to e, without repeats."""
+    words = [
+        _apply_word(word, e)
+        for length in range(m)
+        for word in itertools.product(contexts, repeat=length)
+    ]
+    return list(dedup(words))
+
+
+def _word_paths(e: Term, contexts: Sequence[Term], length: int) -> list[list[Term]]:
+    """For each word w of the given length, the terms w e, w[1:] e, ..., e."""
+    return [
+        [_apply_word(word[i:], e) for i in range(length + 1)]
+        for word in itertools.product(contexts, repeat=length)
+    ]
+
+
+def _chain(e: Term, path: Sequence[Term]) -> Formula:
     atoms = [_at(e, t) for t in path]
-    if kind == "tau":
-        atoms = list(reversed(atoms))
+    if isinstance(e, Tau):
+        atoms.reverse()
     return or_join([Implies(a, b) for a, b in zip(atoms, atoms[1:])])
 
 
@@ -364,35 +388,21 @@ def eliminate_impredicative_Bm(j: Judgment, e: Term, m: int) -> EliminationStep:
         raise ValueError("chain elimination needs m >= 2")
     if j.logic.bm_level is None or j.logic.bm_level > m:
         raise ValueError(f"logic {j.logic} does not prove the {m}-link chain schema")
-    readings, rest = _split_criticals(j, e)
-    impred = [(f, r) for f, r in readings if not is_predicative(r)]
-    pred = [(f, r) for f, r in readings if is_predicative(r)]
-    if not impred:
-        raise ValueError(f"no impredicative critical formulas for {to_text(e)}")
-    contexts = sorted(_witnesses(impred), key=sort_key)
-    kind = "eps" if isinstance(e, Eps) else "tau"
+    readings = judgment_readings(j).get(e, [])
+    pred_ws = _witnesses([(f, r) for f, r in readings if is_predicative(r)])
 
-    elim_set: list[Term] = []
-    for length in range(m):
-        for word in itertools.product(contexts, repeat=length):
-            elim_set.append(_apply_word(word, e, e))
-    elim_set = list(dedup(elim_set))
+    def schema(ws, pos):
+        contexts = sorted(ws, key=canonical_text)
+        instances = [_chain(e, path) for path in _word_paths(e, contexts, m)]
+        instances += [
+            _chain(e, [u] + suffix)
+            for length in range(1, m)
+            for suffix in _word_paths(e, contexts, length)
+            for u in pred_ws
+        ]
+        return _words_below(e, contexts, m), dedup(instances)
 
-    instances: list[Formula] = []
-    for word in itertools.product(contexts, repeat=m):
-        path = [_apply_word(word[i:], e, e) for i in range(m + 1)]
-        instances.append(_chain(e, path, kind))
-    pred_ws = _witnesses(pred)
-    for length in range(1, m):
-        for word in itertools.product(contexts, repeat=length):
-            suffix = [_apply_word(word[i:], e, e) for i in range(length + 1)]
-            for u in pred_ws:
-                instances.append(_chain(e, [u] + suffix, kind))
-
-    new_criticals = _subst_set(rest, e, elim_set) + [f for f, _ in pred]
-    return _step(
-        j, e, [f for f, _ in impred], elim_set, new_criticals, dedup(instances)
-    )
+    return _step(j, e, schema, take=lambda r: not is_predicative(r))
 
 
 def bm_stage(j: Judgment, e: Term, i: int) -> tuple[Formula, list[Formula]]:
@@ -402,20 +412,10 @@ def bm_stage(j: Judgment, e: Term, i: int) -> tuple[Formula, list[Formula]]:
     length-i word chains as pending premises; useful for inspecting the
     construction mid-flight.
     """
-    readings, _ = _split_criticals(j, e)
-    impred = [(f, r) for f, r in readings if not is_predicative(r)]
-    contexts = sorted(_witnesses(impred), key=sort_key)
-    kind = "eps" if isinstance(e, Eps) else "tau"
-    terms: list[Term] = []
-    for length in range(i):
-        for word in itertools.product(contexts, repeat=length):
-            terms.append(_apply_word(word, e, e))
-    goal, _ = _expand(j.goal, e, list(dedup(terms)))
-    chains = []
-    for word in itertools.product(contexts, repeat=i):
-        path = [_apply_word(word[k:], e, e) for k in range(i + 1)]
-        chains.append(_chain(e, path, kind))
-    return goal, chains
+    impred = [(f, r) for f, r in judgment_readings(j).get(e, []) if not is_predicative(r)]
+    contexts = sorted(_witnesses(impred), key=canonical_text)
+    goal, _ = _expand(j.goal, e, _words_below(e, contexts, i))
+    return goal, [_chain(e, path) for path in _word_paths(e, contexts, i)]
 
 
 def eliminate_complete_Gm(j: Judgment, e: Term, m: int) -> list[EliminationStep]:
@@ -425,7 +425,7 @@ def eliminate_complete_Gm(j: Judgment, e: Term, m: int) -> list[EliminationStep]
     the predicative ones are then removed by the linearity construction over
     the expanded goal.  Either phase is skipped when it has nothing to do.
     """
-    readings, _ = _split_criticals(j, e)
+    readings = judgment_readings(j).get(e, [])
     if not readings:
         raise ValueError(f"term is not critical in the judgment: {to_text(e)}")
     has_impred = any(not is_predicative(r) for _, r in readings)
@@ -442,22 +442,19 @@ def eliminate_complete_Gm(j: Judgment, e: Term, m: int) -> list[EliminationStep]
 # ---------------------------------------------------------------------------
 # Drivers
 
-
-def _ground_residuals(goal: Formula, sig: Signature) -> tuple[Formula, list[tuple[Term, str]]]:
-    grounding: list[tuple[Term, str]] = []
-    while True:
-        residuals = etau_subterms(goal)
-        if not residuals:
-            return goal, grounding
-        t = residuals[0]
-        name = sig.fresh("c", arity=0)
-        goal = subst_term(goal, t, App(name, ()))
-        grounding.append((t, name))
+# The logics each driver accepts; jankov's step checks the logic itself.
+DRIVERS = {"hb": ("classical", "lcm"), "weak-lin": ("lc",), "jankov": None}
 
 
 def _finish(j: Judgment, steps: list[EliminationStep]) -> EliminationTrace:
+    """The trace, with each alpha-class of residual terms grounded as a fresh constant."""
     sig = Signature.collect(j.goal, *j.criticals, *j.instances)
-    goal, grounding = _ground_residuals(j.goal, sig)
+    goal = j.goal
+    grounding: list[tuple[Term, str]] = []
+    while residuals := etau_subterms(goal):
+        name = sig.fresh("c", arity=0)
+        goal = subst_term(goal, residuals[0], App(name, ()))
+        grounding.append((residuals[0], name))
     result = or_join(dedup(or_spine(goal)))
     if contains_etau(result):
         raise EliminationError("grounding left an epsilon/tau term behind")
@@ -469,77 +466,75 @@ def run_elimination(
     verify: bool = False,
     budget: int | None = None,
     on_step: Callable[[EliminationStep], None] | None = None,
-) -> EliminationTrace:
-    """The full elimination loop for classical and m-valued Godel logics.
+    *,
+    driver: str = "hb",
+    first: Term | None = None,
+) -> EliminationTrace | FailureReport:
+    """The elimination loop of the three drivers.
 
-    Repeatedly selects a critical term of maximal degree among those of
-    maximal rank, applies the logic's complete elimination, and checks that
-    the (rank, degree, count) measure strictly decreases.  Residual terms in
-    the final goal are replaced by fresh constants, one per alpha-class.
+    Each round selects a critical term of maximal degree among those of
+    maximal rank (or ``first``, in the first round, if it is critical):
+
+    - hb, for classical and m-valued logics: the logic's complete
+      elimination; the (rank, degree, count) measure must strictly decrease;
+    - weak-lin, for lc: the linearity step, or a FailureReport when the
+      term has an impredicative critical formula;
+    - jankov: one complete step for a negated goal from weak excluded
+      middle; the goal after it is the result, left ungrounded.
+
+    Residual terms in an hb or weak-lin result become fresh constants, one
+    per alpha-class.  With ``verify`` the backend checks the judgment after
+    every step (for hb the input first) once the loop ends, so a run that
+    ends in a failure report sends no query; a failed check raises
+    EliminationError.
     """
-    if j.logic.kind not in ("classical", "lcm"):
-        raise ValueError(
-            f"the full driver handles classical and m-valued logics, not {j.logic}"
-        )
-    if verify:
+    if driver not in DRIVERS:
+        raise ValueError(f"unknown driver {driver!r} (use {', '.join(DRIVERS)})")
+    if DRIVERS[driver] is not None and j.logic.kind not in DRIVERS[driver]:
+        raise ValueError(f"the {driver} driver does not handle logic {j.logic}")
+    if verify and driver == "hb":
         _check_judgment(j, budget, "input judgment")
     steps: list[EliminationStep] = []
-    while True:
-        terms = judgment_critical_terms(j)
-        if not terms:
-            break
-        before_measure = judgment_measure(terms)
-        e = select_max(terms)
-        if j.logic.kind == "classical":
+    readings = judgment_readings(j)
+    while readings:
+        e = first if not steps and first in readings else select_max(list(readings))
+        if driver == "weak-lin":
+            offending = _impredicative(readings[e])
+            if offending:
+                return FailureReport(
+                    step_index=len(steps),
+                    target=e,
+                    formula=offending[0],
+                    reason="impredicative critical formula",
+                    steps=tuple(steps),
+                )
+            new_steps = [eliminate_predicative_lin(j, e)]
+        elif driver == "jankov":
+            new_steps = [eliminate_negated_jankov(j, e)]
+        elif j.logic.kind == "classical":
             new_steps = [eliminate_complete_classical(j, e)]
         else:
             new_steps = eliminate_complete_Gm(j, e, j.logic.m)
-        for st in new_steps:
-            if verify:
-                _check_judgment(st.after, budget, f"after eliminating {to_text(e)}")
-            if on_step is not None:
+        if on_step is not None:
+            for st in new_steps:
                 on_step(st)
         steps.extend(new_steps)
         j = new_steps[-1].after
-        after_measure = judgment_measure(judgment_critical_terms(j))
-        if not after_measure < before_measure:
-            raise EliminationError(
-                f"termination measure did not decrease: {before_measure} -> {after_measure}"
-            )
-    return _finish(j, steps)
-
-
-def run_weak_lin(
-    j: Judgment, first: Term | None = None
-) -> EliminationTrace | FailureReport:
-    """The predicative-only driver for the infinite-valued Godel logic.
-
-    Applies the linearity elimination step by step; if the selected term has
-    an impredicative critical formula the run stops with a report naming it.
-    """
-    if j.logic.kind != "lc":
-        raise ValueError(f"the predicative driver is for logic lc, not {j.logic}")
-    steps: list[EliminationStep] = []
-    while True:
-        readings = judgment_readings(j)
-        if not readings:
+        if driver == "jankov":
             break
-        terms = list(readings)
-        if first is not None and not steps and first in readings:
-            e = first
-        else:
-            e = select_max(terms)
-        offending = [f for f, r in readings[e] if not is_predicative(r)]
-        if offending:
-            return FailureReport(
-                step_index=len(steps),
-                target=e,
-                formula=offending[0],
-                reason="impredicative critical formula",
-                steps=tuple(steps),
-            )
-        steps.append(eliminate_predicative_lin(j, e))
-        j = steps[-1].after
+        previous, readings = readings, judgment_readings(j)
+        if driver == "hb":
+            before_measure = judgment_measure(list(previous))
+            after_measure = judgment_measure(list(readings))
+            if not after_measure < before_measure:
+                raise EliminationError(
+                    f"termination measure did not decrease: {before_measure} -> {after_measure}"
+                )
+    if verify:
+        for st in steps:
+            _check_judgment(st.after, budget, f"after eliminating {to_text(st.target)}")
+    if driver == "jankov":
+        return EliminationTrace(tuple(steps), j.goal, ())
     return _finish(j, steps)
 
 
@@ -620,7 +615,7 @@ def reconstruct_from_herbrand(
             criticals.append(c.rendered)
 
     judgment = make_judgment(LC, criticals, goal)
-    outcome = run_weak_lin(judgment)
+    outcome = run_elimination(judgment, driver="weak-lin")
     if isinstance(outcome, FailureReport):
         raise EliminationError(f"reconstruction replay failed: {outcome}")
     return judgment, outcome
@@ -739,3 +734,4 @@ def trace_to_json(trace: EliminationTrace, logic: Logic) -> str:
         "grounding": {to_text(t): name for t, name in trace.grounding},
     }
     return json.dumps(doc, indent=2, sort_keys=True)
+

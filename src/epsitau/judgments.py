@@ -8,7 +8,7 @@ simply extra premises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import parser
 from .syntax import Formula, dedup, is_quantifier_free, to_text
@@ -69,6 +69,9 @@ class Judgment:
     criticals: tuple[Formula, ...]
     instances: tuple[Formula, ...]
     goal: Formula
+    # Critical readings by term, built on first use by
+    # eliminate.judgment_readings; not part of equality or hashing.
+    reading_index: dict | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def make_judgment(logic, criticals, goal, instances=()) -> Judgment:

@@ -332,7 +332,7 @@ def is_em_instance(phi: Formula) -> bool:
     return False
 
 
-def _is_conj_list(phi: Formula) -> list[Formula] | None:
+def _is_conj_list(phi: Formula) -> list[Formula]:
     out: list[Formula] = []
 
     def walk(f: Formula) -> None:
@@ -356,7 +356,7 @@ def is_weak_em_instance(phi: Formula) -> bool:
     parts = or_spine(phi)
     head, rest = parts[0], parts[1:]
     conj = _is_conj_list(head)
-    if conj is None or not rest:
+    if not rest:
         return False
     if all(isinstance(c, Not) for c in conj) and all(
         isinstance(r, Not) and isinstance(r.sub, Not) for r in rest

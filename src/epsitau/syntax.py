@@ -247,15 +247,6 @@ def exists(name: str, body: Formula) -> Exists:
     return Exists(name, abstract_var(body, name))
 
 
-def open_binder(obj: Eps | Tau | Forall | Exists, avoid: Iterable[str] = ()) -> tuple[str, Obj]:
-    """Open a binder with a printable fresh name; returns (name, opened body)."""
-    taken = set(avoid) | free_vars(obj.body)
-    name = obj.hint or "x"
-    while name in taken:
-        name += "'"
-    return name, instantiate(obj.body, Var(name))
-
-
 def locally_closed(obj: Obj, depth: int = 0) -> bool:
     """True if no bound index escapes `obj`; such a subtree is a standalone value."""
     match obj:
@@ -371,10 +362,6 @@ def subst_term(obj: Obj, e: Term, s: Term) -> Obj:
     return _rebuild(obj, tuple(subst_term(k, e, s) for k in kids))
 
 
-def subst_term_all(objs: Iterable[Obj], e: Term, s: Term) -> tuple[Obj, ...]:
-    return tuple(subst_term(o, e, s) for o in objs)
-
-
 # ---------------------------------------------------------------------------
 # Matching
 
@@ -469,15 +456,7 @@ def and_join(parts: Iterable[Formula]) -> Formula:
 
 def dedup(objs: Iterable[Obj]) -> tuple[Obj, ...]:
     """Deduplicate up to alpha, preserving first-occurrence order."""
-    out: list[Obj] = []
-    for o in objs:
-        if o not in out:
-            out.append(o)
-    return tuple(out)
-
-
-def or_dedup(parts: Iterable[Formula]) -> Formula:
-    return or_join(dedup(parts))
+    return tuple(dict.fromkeys(objs))
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +532,6 @@ def to_text(obj: Obj) -> str:
 def canonical_text(obj: Obj) -> str:
     """Hint-independent rendering, used for deterministic ordering."""
     return _fmt(obj, 0, [], set(free_vars(obj)), canonical=True)
-
-
-def sort_key(obj: Obj) -> str:
-    return canonical_text(obj)
 
 
 # ---------------------------------------------------------------------------

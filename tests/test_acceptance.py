@@ -19,7 +19,6 @@ from epsitau.eliminate import (
     judgment_measure,
     reconstruct_from_herbrand,
     run_elimination,
-    run_weak_lin,
 )
 from epsitau.judgments import CLASSICAL, KC, make_judgment
 from epsitau.parser import parse_formula as pf, parse_term as pt
@@ -229,7 +228,7 @@ def test_criterion_8_weak_lin_negative_fixture():
     j = weak_lin_negative_judgment()
     ok = True
     for first in (pt("eps x. A(x)"), pt("eps y. B(y)")):
-        out = run_weak_lin(j, first=first)
+        out = run_elimination(j, driver="weak-lin", first=first)
         ok = ok and isinstance(out, FailureReport)
         if isinstance(out, FailureReport):
             readings = recognize_critical(out.formula)

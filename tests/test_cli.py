@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from epsitau.cli import main
 
 from helpers import weak_lin_negative_judgment
@@ -123,6 +125,19 @@ def test_eliminate_jankov_driver(tmp_path, capsys):
     )
     code, out, _ = run_cli(capsys, "eliminate", str(path), "--driver", "jankov", "--verify", "steps")
     assert code == 0 and "instance" in out
+
+
+@pytest.mark.parametrize(
+    "driver, logic, goal",
+    [("hb", "classical", "B"), ("weak-lin", "lc", "B"), ("jankov", "kc", "~B")],
+)
+def test_eliminate_failed_verification_exits_1(tmp_path, capsys, driver, logic, goal):
+    path = tmp_path / "unsound.judgment"
+    path.write_text(f"logic: {logic}\ncritical: A(u) -> A(eps x. A(x))\ngoal: {goal}\n")
+    code, _, err = run_cli(capsys, "eliminate", str(path), "--driver", driver, "--verify", "steps")
+    assert code == 1
+    assert err.startswith("verification failed: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_verify_judgment_file(tmp_path, capsys):

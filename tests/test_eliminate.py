@@ -21,7 +21,6 @@ from epsitau.eliminate import (
     judgment_critical_terms,
     judgment_measure,
     run_elimination,
-    run_weak_lin,
     strengthen_premise,
     theorem_form_convert,
     trace_to_json,
@@ -473,7 +472,7 @@ def test_weak_lin_failure_both_orders():
     j = weak_lin_negative_judgment()
     e_a, e_b = pt("eps x. A(x)"), pt("eps y. B(y)")
     for first, leftover in ((e_a, e_b), (e_b, e_a)):
-        report = run_weak_lin(j, first=first)
+        report = run_elimination(j, driver="weak-lin", first=first)
         assert isinstance(report, FailureReport)
         assert report.target == leftover
         assert report.step_index == 1
@@ -484,9 +483,9 @@ def test_weak_lin_failure_both_orders():
 
 def test_weak_lin_failure_formula_is_impredicative_residue():
     j = weak_lin_negative_judgment()
-    report = run_weak_lin(j, first=pt("eps x. A(x)"))
+    report = run_elimination(j, driver="weak-lin", first=pt("eps x. A(x)"))
     assert report.formula == pf("B(g(f(eps y. B(y)))) -> B(eps y. B(y))")
-    report2 = run_weak_lin(j, first=pt("eps y. B(y)"))
+    report2 = run_elimination(j, driver="weak-lin", first=pt("eps y. B(y)"))
     assert report2.formula == pf("A(f(g(eps x. A(x)))) -> A(eps x. A(x))")
 
 
@@ -496,7 +495,7 @@ def test_weak_lin_all_weak_success():
         [pf("A(c) -> A(eps x. A(x))"), pf("A(d) -> A(eps x. A(x))")],
         pf("A(c) -> A(eps x. A(x))"),
     )
-    out = run_weak_lin(j)
+    out = run_elimination(j, driver="weak-lin")
     assert isinstance(out, EliminationTrace)
     # weak witnesses leave the other premises untouched at every step
     for st in out.steps:
@@ -506,13 +505,13 @@ def test_weak_lin_all_weak_success():
 
 def test_weak_lin_zero_criticals():
     j = make_judgment(LC, [], pf("Q(c)"))
-    out = run_weak_lin(j)
+    out = run_elimination(j, driver="weak-lin")
     assert isinstance(out, EliminationTrace) and out.result == pf("Q(c)")
 
 
 def test_weak_lin_wrong_logic():
     with pytest.raises(ValueError):
-        run_weak_lin(make_judgment(CLASSICAL, [], pf("A")))
+        run_elimination(make_judgment(CLASSICAL, [], pf("A")), driver="weak-lin")
 
 
 # ---------------------------------------------------------------------------
