@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="epsilon/tau calculi over intermediate propositional logics",
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max valuations per check")
+    budget_help = "max literal assignments (decisions plus propagations) per chain check"
+    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget_help)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("translate", help="epsilon/tau translation of a formula")

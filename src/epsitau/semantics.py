@@ -1,7 +1,8 @@
 """Decidable backends: finite Godel chains, an intuitionistic prover, schemas.
 
-Chain validity is decided by exhaustive valuation search (vectorized, with a
-configurable evaluation budget).  Intuitionistic consequence is decided by a
+Chain validity is decided by a regular (order) CNF encoding handed to the
+conflict-driven SAT solver in sat.py, whose effort is bounded by a budget
+on literal assignments.  Intuitionistic consequence is decided by a
 terminating contraction-free sequent search.  verify_judgment ties both to
 the Judgment type: a judgment holds iff (criticals and instances) -> goal in
 its logic's backend.
@@ -12,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .judgments import Judgment
+from .sat import BudgetExceededError, solve
 from .syntax import (
     And,
     Atom,
@@ -35,10 +35,6 @@ from .syntax import (
 )
 
 DEFAULT_BUDGET = 20_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """The valuation space is larger than the configured evaluation budget."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,23 +58,22 @@ Valuation = dict[str, int]
 # ---------------------------------------------------------------------------
 # Propositional abstraction
 
-_PROP_KINDS = (Atom, Top, Bot, Not, And, Or, Implies)
-
-
-def _atomic_subformulas(phi: Formula, seen: list[Formula]) -> None:
-    match phi:
-        case Atom():
-            if phi not in seen:
-                seen.append(phi)
-        case Top() | Bot():
-            pass
-        case Not(sub):
-            _atomic_subformulas(sub, seen)
-        case And(a, b) | Or(a, b) | Implies(a, b):
-            _atomic_subformulas(a, seen)
-            _atomic_subformulas(b, seen)
-        case _:
-            raise ValueError(f"not quantifier-free: {to_text(phi)}")
+def _atomic_subformulas(phi: Formula, seen: dict[Formula, None]) -> None:
+    """Add phi's atoms to seen in left-to-right order (explicit stack, no recursion)."""
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        match f:
+            case Atom():
+                seen.setdefault(f)
+            case Top() | Bot():
+                pass
+            case Not(sub):
+                stack.append(sub)
+            case And(a, b) | Or(a, b) | Implies(a, b):
+                stack += (b, a)
+            case _:
+                raise ValueError(f"not quantifier-free: {to_text(f)}")
 
 
 def abstract_atoms(formulas: Sequence[Formula]) -> tuple[list[Formula], dict[Formula, str]]:
@@ -87,7 +82,7 @@ def abstract_atoms(formulas: Sequence[Formula]) -> tuple[list[Formula], dict[For
     Sound for pure logics without identity, where distinct atoms are
     independent.  Returns abstracted copies and the atom-to-name mapping.
     """
-    atoms: list[Formula] = []
+    atoms: dict[Formula, None] = {}
     for f in formulas:
         _atomic_subformulas(f, atoms)
     names = {a: f"p{i + 1}" for i, a in enumerate(atoms)}
@@ -113,7 +108,7 @@ def abstract_atoms(formulas: Sequence[Formula]) -> tuple[list[Formula], dict[For
 
 def prop_atoms(phi: Formula) -> list[str]:
     """Names of the propositional atoms of an already-abstracted formula."""
-    seen: list[Formula] = []
+    seen: dict[Formula, None] = {}
     _atomic_subformulas(phi, seen)
     out = []
     for a in seen:
@@ -159,57 +154,103 @@ def eval_godel(phi: Formula, valuation: Valuation, chain: GodelChain) -> int:
     raise ValueError(f"not a propositional formula: {to_text(phi)}")
 
 
-def _eval_block(phi: Formula, cols: dict[str, np.ndarray], top: int) -> np.ndarray:
-    match phi:
-        case Atom(name, ()):
-            return cols[name]
-        case Top():
-            return np.full_like(next(iter(cols.values())), top)
-        case Bot():
-            return np.zeros_like(next(iter(cols.values())))
-        case Not(sub):
-            v = _eval_block(sub, cols, top)
-            return np.where(v == 0, top, 0).astype(v.dtype)
-        case And(a, b):
-            return np.minimum(_eval_block(a, cols, top), _eval_block(b, cols, top))
-        case Or(a, b):
-            return np.maximum(_eval_block(a, cols, top), _eval_block(b, cols, top))
-        case Implies(a, b):
-            va = _eval_block(a, cols, top)
-            vb = _eval_block(b, cols, top)
-            return np.where(va <= vb, top, vb).astype(va.dtype)
-    raise ValueError(f"not a propositional formula: {to_text(phi)}")
+Levels = tuple[int, ...]
+
+
+def _order_encode(
+    phi: Formula, m: int
+) -> tuple[int, list[list[int]], dict[str, list[int]], Levels]:
+    """Regular CNF for phi on the m-chain (Haehnle's signed encoding).
+
+    Every subformula psi gets literals x[psi, k] for k = 1..m-1 that stand
+    for v(psi) >= k; equal subformulas share them.  Variable 1 is constantly
+    true.  Returns the variable count, the clauses, each atom's level
+    variables and the root's level literals.  The walk uses an explicit
+    stack, because the Herbrand disjunctions nest close to the
+    interpreter's recursion limit.
+    """
+    top = m - 1
+    nvars = 1
+    clauses: list[list[int]] = [[1]]
+    atoms: dict[str, list[int]] = {}
+    shared: dict[tuple, Levels] = {}
+    lits_of: dict[int, Levels] = {}  # id(node) -> level literals
+
+    def fresh() -> list[int]:
+        nonlocal nvars
+        nvars += top
+        return list(range(nvars - top + 1, nvars + 1))
+
+    stack = [phi]  # a node is built once both children are; none is pushed twice
+    while stack:
+        f = stack[-1]
+        match f:
+            case Not(a) | And(a, _) | Or(a, _) | Implies(a, _) if id(a) not in lits_of:
+                stack.append(a)
+                continue
+            case And(_, b) | Or(_, b) | Implies(_, b) if id(b) not in lits_of:
+                stack.append(b)
+                continue
+            case Atom(name, ()):
+                xs = atoms.get(name)
+                if xs is None:
+                    xs = atoms[name] = fresh()
+                    clauses += [[-xs[k + 1], xs[k]] for k in range(top - 1)]
+                lits = tuple(xs)
+            case Top():
+                lits = (1,) * top
+            case Bot():
+                lits = (-1,) * top
+            case Not(a):
+                lits = (-lits_of[id(a)][0],) * top
+            case And(a, b) | Or(a, b) | Implies(a, b):
+                la, lb = lits_of[id(a)], lits_of[id(b)]
+                key = (type(f), la, lb)
+                hit = shared.get(key)
+                if hit is None:
+                    xs = fresh()
+                    if isinstance(f, Implies):
+                        # le <-> v(a) <= v(b): le forces a_k -> b_k at every level, and
+                        # not le forces b_k -> a_(k+1) for k = 0..m-1 (b_0 true, a_m
+                        # false).  Then v(a -> b) >= k iff v(b) >= k or le.
+                        nvars += 1
+                        le = nvars
+                        clauses += [[-le, -p, q] for p, q in zip(la, lb)]
+                        clauses += [[le, -q, p] for q, p in zip((1,) + lb, la + (-1,))]
+                        for x, q in zip(xs, lb):
+                            clauses += [[x, -q], [x, -le], [-x, q, le]]
+                    else:
+                        s = 1 if isinstance(f, And) else -1  # a | b is dual to a & b
+                        for x, p, q in zip(xs, la, lb):
+                            clauses += [[-s * x, s * p], [-s * x, s * q], [s * x, -s * p, -s * q]]
+                    hit = shared[key] = tuple(xs)
+                lits = hit
+            case Atom():
+                raise ValueError(f"expected a propositional atom, got {to_text(f)}")
+            case _:
+                raise ValueError(f"not a propositional formula: {to_text(f)}")
+        stack.pop()
+        lits_of[id(f)] = lits
+    return nvars, clauses, atoms, lits_of[id(phi)]
 
 
 def _chain_check(phi: Formula, m: int, budget: int) -> tuple[bool, Valuation | None]:
-    atoms = prop_atoms(phi)
-    n = len(atoms)
-    total = m**n
-    if total > budget:
-        raise BudgetExceededError(
-            f"{n} atoms on a {m}-chain need {total} valuations, budget is {budget}"
-        )
-    chain = GodelChain(m)
-    if n == 0:
-        v = eval_godel(phi, {}, chain)
-        return (v == chain.top, None if v == chain.top else {})
-    dtype = np.int8 if m < 128 else np.int32
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cols = {a: ((ids // (m**k)) % m).astype(dtype) for k, a in enumerate(atoms)}
-        vals = _eval_block(phi, cols, chain.top)
-        bad = np.nonzero(vals != chain.top)[0]
-        if bad.size:
-            i = int(bad[0])
-            return False, {a: int(cols[a][i]) for a in atoms}
-    return True, None
+    nvars, clauses, atoms, root = _order_encode(phi, m)
+    clauses.append([-root[-1]])
+    model = solve(nvars, clauses, budget)
+    if model is None:
+        return True, None
+    return False, {a: sum(model[x] for x in xs) for a, xs in atoms.items()}
 
 
 def valid_in_LCm(
     phi: Formula, m: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[bool, Valuation | None]:
-    """Exhaustive validity check on the m-valued chain; countervaluation on failure."""
+    """Validity on the m-valued chain; a countervaluation on failure.
+
+    Raises BudgetExceededError when the search needs more than `budget`
+    literal assignments.
+    """
     if m < 2:
         raise ValueError("chains need at least 2 values")
     return _chain_check(phi, m, budget)
@@ -508,7 +549,8 @@ def _judgment_parts(j: Judgment) -> tuple[list[Formula], Formula]:
 
 def _verify_on_chain(premises: list[Formula], goal: Formula, m: int | None, budget: int) -> bool:
     # Premises that are themselves valid on the target chain carry no
-    # information there; dropping them keeps the atom count near the goal's.
+    # information there; dropping them keeps the query's CNF smaller, which
+    # lowers peak memory on the longer chains.
     kept = []
     for p in premises:
         size = m if m is not None else lc_chain_size(p)

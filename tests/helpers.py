@@ -103,35 +103,45 @@ def taut_oracle(phi: Formula) -> bool:
 # Oracle 2: finite Godel chains by direct recursion
 
 
+def godel_value(f: Formula, env: dict, top: int) -> int:
+    """Value of f on the chain 0..top; env maps atoms to values."""
+    match f:
+        case Atom():
+            return env[f]
+        case Top():
+            return top
+        case Bot():
+            return 0
+        case Not(sub):
+            return top if godel_value(sub, env, top) == 0 else 0
+        case And(a, b):
+            return min(godel_value(a, env, top), godel_value(b, env, top))
+        case Or(a, b):
+            return max(godel_value(a, env, top), godel_value(b, env, top))
+        case Implies(a, b):
+            va, vb = godel_value(a, env, top), godel_value(b, env, top)
+            return top if va <= vb else vb
+    raise ValueError(f)
+
+
 def godel_oracle(phi: Formula, size: int) -> bool:
     """Validity on the chain 0..size-1, independent of the semantics module."""
     atoms: list = []
     _collect_atoms(phi, atoms)
     top = size - 1
-
-    def ev(f: Formula, env: dict) -> int:
-        match f:
-            case Atom():
-                return env[f]
-            case Top():
-                return top
-            case Bot():
-                return 0
-            case Not(sub):
-                return top if ev(sub, env) == 0 else 0
-            case And(a, b):
-                return min(ev(a, env), ev(b, env))
-            case Or(a, b):
-                return max(ev(a, env), ev(b, env))
-            case Implies(a, b):
-                va, vb = ev(a, env), ev(b, env)
-                return top if va <= vb else vb
-        raise ValueError(f)
-
     for vals in itertools.product(range(size), repeat=len(atoms)):
-        if ev(phi, dict(zip(atoms, vals))) != top:
+        if godel_value(phi, dict(zip(atoms, vals)), top) != top:
             return False
     return True
+
+
+def refutes(phi: Formula, counter: dict[str, int], size: int) -> bool:
+    """Does the countervaluation (atom name -> value) refute phi on the size-chain?"""
+    atoms: list = []
+    _collect_atoms(phi, atoms)
+    env = {a: counter[a.pred] for a in atoms}
+    top = size - 1
+    return all(0 <= v <= top for v in env.values()) and godel_value(phi, env, top) != top
 
 
 # ---------------------------------------------------------------------------

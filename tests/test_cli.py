@@ -4,8 +4,9 @@ import pytest
 
 from epsitau.cli import main
 
-from helpers import weak_lin_negative_judgment
+from helpers import refutes, weak_lin_negative_judgment
 from epsitau.judgments import dump_judgment
+from epsitau.parser import parse_formula
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +57,16 @@ def test_check_valid_invalid_budget(capsys):
         capsys, "--budget", "10", "check", "--logic", "lc3", "A1 | A2 | A3 | A4"
     )
     assert code == 3 and "budget" in err
+
+
+def test_check_lc_refutes_eleven_link_chain(capsys):
+    # 12 atoms on the 14-chain: 14^12 valuations, far past any enumeration
+    text = " | ".join(f"(A{i} -> A{i + 1})" for i in range(1, 12))
+    code, out, _ = run_cli(capsys, "--format", "json", "check", "--logic", "lc", text)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["valid"] is False and doc["chain_size"] == 14
+    assert refutes(parse_formula(text), doc["countervaluation"], doc["chain_size"])
 
 
 def test_check_quantifier_free_abstraction(capsys):

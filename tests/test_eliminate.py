@@ -444,6 +444,16 @@ def test_run_elimination_lc3_worked_example():
     assert verify_judgment(final)
 
 
+@pytest.mark.parametrize("m", [4, 5])
+def test_run_elimination_worked_example_verifies_on_longer_chains(m):
+    # 62 and 126 atoms: beyond reach of enumerating the valuations
+    j = lc3_worked_judgment()
+    j = make_judgment(lcm(m), j.criticals, j.goal)
+    trace = run_elimination(j, verify=True)
+    assert isinstance(trace, EliminationTrace)
+    assert not contains_etau(trace.result)
+
+
 def test_run_elimination_rejects_lc():
     with pytest.raises(ValueError):
         run_elimination(make_judgment(LC, [], pf("A")))

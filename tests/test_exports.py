@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import epsitau
 
@@ -15,3 +19,10 @@ def test_star_import_of_eliminate():
     namespace: dict = {}
     exec("from epsitau.eliminate import *", namespace)
     assert "run_elimination" in namespace
+
+
+def test_cli_import_needs_no_numpy():
+    src = str(Path(epsitau.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, epsitau.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0

@@ -26,9 +26,14 @@ from epsitau.semantics import (
     valid_in_LCm,
     verify_judgment,
 )
-from epsitau.syntax import And, Atom, Bot, Implies, Not, Or, Top
+from epsitau.syntax import And, Atom, Bot, Implies, Not, Or, Top, or_join
 
-from helpers import godel_oracle, random_prop_formula, taut_oracle
+from helpers import (
+    godel_oracle,
+    random_prop_formula,
+    refutes,
+    taut_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +151,35 @@ def test_lc_bound_stability():
         base = valid_in_LCm(phi, lc_chain_size(phi))[0]
         for m in range(lc_chain_size(phi), n_atoms + 5):
             assert valid_in_LCm(phi, m)[0] == base
+
+
+def test_chain_check_agrees_with_oracle():
+    # the brute-force evaluator in helpers is the reference; every
+    # countervaluation is checked with it as well
+    rng = random.Random(1907)
+    verdicts = {True: 0, False: 0}
+    for i in range(480):
+        atoms = ["A", "B", "C", "D"][: rng.randint(1, 4)]
+        phi = random_prop_formula(rng, rng.choice([3, 4]), atoms)
+        if i % 6 == 5:
+            size = lc_chain_size(phi)
+            ok, counter = valid_in_LC(phi)
+        else:
+            size = 2 + i % 6
+            ok, counter = valid_in_LCm(phi, size)
+        assert ok == godel_oracle(phi, size), (str(phi), size)
+        if not ok:
+            assert counter is not None and refutes(phi, counter, size), (str(phi), size, counter)
+        verdicts[ok] += 1
+    assert min(verdicts.values()) >= 50
+
+
+def test_implication_ring_valid_on_lc():
+    # refuting it needs A1 > A2 > ... > A10 > A1
+    names = [f"A{i}" for i in range(1, 11)]
+    ring = or_join([Implies(Atom(a), Atom(b)) for a, b in zip(names, names[1:] + names[:1])])
+    assert lc_chain_size(ring) == 12
+    assert valid_in_LC(ring) == (True, None)
 
 
 # ---------------------------------------------------------------------------
