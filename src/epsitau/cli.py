@@ -15,7 +15,7 @@ from pathlib import Path
 from . import eliminate as elim
 from . import semantics
 from .critical import degree, is_predicative, is_weak, rank, recognize_critical
-from .judgments import Judgment, load_judgment, parse_logic
+from .judgments import load_judgment, parse_logic
 from .parser import ParseError, parse_formula, parse_term
 from .semantics import BudgetExceededError, DEFAULT_BUDGET
 from .syntax import to_text
@@ -52,29 +52,15 @@ def cmd_translate(args) -> int:
 
 def cmd_check(args) -> int:
     logic = parse_logic(args.logic)
-    phi = parse_formula(args.formula)
-    # quantifier-free inputs are atom-abstracted; propositional ones pass
-    # through with their own atom names
-    [phi2], legend = semantics.abstract_atoms([phi])
-    legend_rev = {name: to_text(atom) for atom, name in legend.items()}
-    if logic.kind in ("classical", "lcm", "lc"):
-        m = 2 if logic.kind == "classical" else (logic.m or semantics.lc_chain_size(phi2))
-        ok, counter = semantics.valid_in_LCm(phi2, m, budget=args.budget)
-        payload = {"logic": str(logic), "valid": ok}
-        lines = [f"{'valid' if ok else 'invalid'} in {logic}"]
-        if counter is not None:
-            readable = {legend_rev.get(k, k): v for k, v in counter.items()}
-            payload["countervaluation"] = readable
-            payload["chain_size"] = m
-            lines.append(f"countervaluation on the {m}-chain: {readable}")
-        _emit(args, payload, lines)
-        return EXIT_OK if ok else EXIT_INVALID
-    ok, trace = semantics.prove_H_trace([], phi2)
-    _emit(
-        args,
-        {"logic": str(logic), "valid": ok, "trace": trace},
-        [f"{'valid' if ok else 'invalid'} in {logic}"] + trace,
-    )
+    ok, counter = semantics.decide(logic, [], parse_formula(args.formula), budget=args.budget)
+    payload = {"logic": str(logic), "valid": ok}
+    lines = [f"{'valid' if ok else 'invalid'} in {logic}"]
+    if counter is not None:
+        m, readable = counter
+        payload["countervaluation"] = readable
+        payload["chain_size"] = m
+        lines.append(f"countervaluation on the {m}-chain: {readable}")
+    _emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_INVALID
 
 
@@ -117,10 +103,9 @@ def cmd_eliminate(args) -> int:
         }
         _emit(args, payload, [str(out)])
         return EXIT_INVALID
-    # jankov's result keeps its epsilon terms, and kc is decided as plain H
+    # a jankov run is one step, so its result may keep other critical formulas
     if args.verify == "full" and args.driver != "jankov":
-        final = Judgment(j.logic, (), (), out.result)
-        if not semantics.verify_judgment(final, budget=args.budget):
+        if not semantics.decide(j.logic, [], out.result, budget=args.budget)[0]:
             print("verification failed: final result", file=sys.stderr)
             return EXIT_INVALID
     if args.format == "json":

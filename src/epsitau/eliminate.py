@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from . import semantics
 from .critical import (
     CriticalFormula,
     degree,
@@ -246,17 +247,14 @@ def strengthen_premise(
     b: Formula,
     justification: str = "",
     verify: bool = False,
-    budget: int | None = None,
+    budget: int = semantics.DEFAULT_BUDGET,
 ) -> Judgment:
     """Replace premise A by B, justified by B |- A in the judgment's logic."""
     if a not in j.criticals:
         raise ValueError(f"premise not present: {to_text(a)}")
     if verify:
-        from . import semantics
-
         sub = Judgment(j.logic, (b,), (), a)
-        kwargs = {} if budget is None else {"budget": budget}
-        if not semantics.verify_judgment(sub, **kwargs):
+        if not semantics.verify_judgment(sub, budget):
             raise EliminationError(
                 f"justification {justification!r} failed: {to_text(b)} |- {to_text(a)}"
             )
@@ -464,7 +462,7 @@ def _finish(j: Judgment, steps: list[EliminationStep]) -> EliminationTrace:
 def run_elimination(
     j: Judgment,
     verify: bool = False,
-    budget: int | None = None,
+    budget: int = semantics.DEFAULT_BUDGET,
     on_step: Callable[[EliminationStep], None] | None = None,
     *,
     driver: str = "hb",
@@ -538,11 +536,8 @@ def run_elimination(
     return _finish(j, steps)
 
 
-def _check_judgment(j: Judgment, budget: int | None, where: str) -> None:
-    from . import semantics
-
-    kwargs = {} if budget is None else {"budget": budget}
-    if not semantics.verify_judgment(j, **kwargs):
+def _check_judgment(j: Judgment, budget: int, where: str) -> None:
+    if not semantics.verify_judgment(j, budget):
         raise EliminationError(f"verification failed: {where}")
 
 

@@ -3,9 +3,10 @@
 Chain validity is decided by a regular (order) CNF encoding handed to the
 conflict-driven SAT solver in sat.py, whose effort is bounded by a budget
 on literal assignments.  Intuitionistic consequence is decided by a
-terminating contraction-free sequent search.  verify_judgment ties both to
-the Judgment type: a judgment holds iff (criticals and instances) -> goal in
-its logic's backend.
+terminating contraction-free sequent search; KC adds weak excluded middle
+on the query's atoms.  decide is the only place a logic meets its backend:
+check, verify_judgment and the final-result check of eliminate all go
+through it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .judgments import Judgment
+from .judgments import Judgment, Logic
 from .sat import BudgetExceededError, solve
 from .syntax import (
     And,
@@ -27,7 +28,6 @@ from .syntax import (
     TOP,
     Top,
     and_join,
-    canonical_text,
     is_quantifier_free,
     or_join,
     or_spine,
@@ -234,15 +234,6 @@ def _order_encode(
     return nvars, clauses, atoms, lits_of[id(phi)]
 
 
-def _chain_check(phi: Formula, m: int, budget: int) -> tuple[bool, Valuation | None]:
-    nvars, clauses, atoms, root = _order_encode(phi, m)
-    clauses.append([-root[-1]])
-    model = solve(nvars, clauses, budget)
-    if model is None:
-        return True, None
-    return False, {a: sum(model[x] for x in xs) for a, xs in atoms.items()}
-
-
 def valid_in_LCm(
     phi: Formula, m: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[bool, Valuation | None]:
@@ -253,7 +244,12 @@ def valid_in_LCm(
     """
     if m < 2:
         raise ValueError("chains need at least 2 values")
-    return _chain_check(phi, m, budget)
+    nvars, clauses, atoms, root = _order_encode(phi, m)
+    clauses.append([-root[-1]])
+    model = solve(nvars, clauses, budget)
+    if model is None:
+        return True, None
+    return False, {a: sum(model[x] for x in xs) for a, xs in atoms.items()}
 
 
 def lc_chain_size(phi: Formula) -> int:
@@ -262,11 +258,11 @@ def lc_chain_size(phi: Formula) -> int:
 
 
 def valid_in_LC(phi: Formula, budget: int = DEFAULT_BUDGET) -> tuple[bool, Valuation | None]:
-    return _chain_check(phi, lc_chain_size(phi), budget)
+    return valid_in_LCm(phi, lc_chain_size(phi), budget)
 
 
 def valid_classical(phi: Formula, budget: int = DEFAULT_BUDGET) -> tuple[bool, Valuation | None]:
-    return _chain_check(phi, 2, budget)
+    return valid_in_LCm(phi, 2, budget)
 
 
 def counterexample_Bm(m: int) -> Valuation:
@@ -429,22 +425,6 @@ def is_bigdisj_instance(phi: Formula) -> bool:
     )
 
 
-def matches_axiom_schema(phi: Formula, family: str) -> bool:
-    """Check that a recorded axiom instance fits the named schema family."""
-    match family:
-        case "em":
-            return is_em_instance(phi)
-        case "weak_em":
-            return is_weak_em_instance(phi)
-        case "lin":
-            return is_lin_instance(phi) or is_bigdisj_instance(phi)
-        case "bigdisj":
-            return is_bigdisj_instance(phi)
-        case "bm_chain":
-            return is_implication_chain(phi)
-    raise ValueError(f"unknown schema family {family!r}")
-
-
 # ---------------------------------------------------------------------------
 # Intuitionistic prover (contraction-free sequent search)
 
@@ -464,123 +444,123 @@ def _norm(phi: Formula) -> Formula:
             return phi
 
 
+# Memo of one top-level query; prove_H empties it when the query returns.
 _sequent_cache: dict[tuple[frozenset, Formula], bool] = {}
 
 
 def _prove(gamma: frozenset[Formula], goal: Formula) -> bool:
-    key = (gamma, goal)
-    hit = _sequent_cache.get(key)
-    if hit is not None:
-        return hit
-    result = _prove_raw(gamma, goal)
-    _sequent_cache[key] = result
-    return result
-
-
-def _prove_raw(gamma: frozenset[Formula], goal: Formula) -> bool:
     if BOT in gamma or goal == TOP or goal in gamma:
         return True
-    # Invertible left rules, one reduction then recurse.
+    key = (gamma, goal)
+    result = _sequent_cache.get(key)
+    if result is not None:
+        return result
+    # Invertible left rules: the first that applies decides the sequent.
     for f in gamma:
         match f:
             case Top():
-                return _prove(gamma - {f}, goal)
+                result = _prove(gamma - {f}, goal)
             case And(a, b):
-                return _prove(gamma - {f} | {a, b}, goal)
+                result = _prove(gamma - {f} | {a, b}, goal)
             case Or(a, b):
                 rest = gamma - {f}
-                return _prove(rest | {a}, goal) and _prove(rest | {b}, goal)
+                result = _prove(rest | {a}, goal) and _prove(rest | {b}, goal)
             case Implies(Top(), b):
-                return _prove(gamma - {f} | {b}, goal)
+                result = _prove(gamma - {f} | {b}, goal)
             case Implies(Bot(), _):
-                return _prove(gamma - {f}, goal)
+                result = _prove(gamma - {f}, goal)
             case Implies(And(c, d), b):
-                return _prove(gamma - {f} | {Implies(c, Implies(d, b))}, goal)
+                result = _prove(gamma - {f} | {Implies(c, Implies(d, b))}, goal)
             case Implies(Or(c, d), b):
-                return _prove(gamma - {f} | {Implies(c, b), Implies(d, b)}, goal)
+                result = _prove(gamma - {f} | {Implies(c, b), Implies(d, b)}, goal)
             case Implies(Atom() as p, b) if p in gamma:
-                return _prove(gamma - {f} | {b}, goal)
-    # Invertible right rules.
-    match goal:
-        case And(a, b):
-            return _prove(gamma, a) and _prove(gamma, b)
-        case Implies(a, b):
-            return _prove(gamma | {a}, b)
-    # Branch points: right disjunction and implication-antecedent implications.
-    if isinstance(goal, Or):
-        if _prove(gamma, goal.left) or _prove(gamma, goal.right):
-            return True
-    for f in gamma:
-        match f:
-            case Implies(Implies(c, d), b):
-                rest = gamma - {f}
-                if _prove(rest | {Implies(d, b)}, Implies(c, d)) and _prove(rest | {b}, goal):
-                    return True
-    return False
+                result = _prove(gamma - {f} | {b}, goal)
+            case _:
+                continue
+        break
+    else:
+        match goal:
+            # Invertible right rules.
+            case And(a, b):
+                result = _prove(gamma, a) and _prove(gamma, b)
+            case Implies(a, b):
+                result = _prove(gamma | {a}, b)
+            # Branch points: right disjunction and implication-antecedent implications.
+            case _:
+                result = isinstance(goal, Or) and (
+                    _prove(gamma, goal.left) or _prove(gamma, goal.right)
+                )
+                for f in gamma:
+                    if result:
+                        break
+                    match f:
+                        case Implies(Implies(c, d), b):
+                            rest = gamma - {f}
+                            result = _prove(rest | {Implies(d, b)}, Implies(c, d)) and _prove(
+                                rest | {b}, goal
+                            )
+    _sequent_cache[key] = result
+    return result
 
 
 def prove_H(premises: Iterable[Formula], goal: Formula) -> bool:
     """Decide intuitionistic propositional consequence (premises |- goal)."""
     gamma = frozenset(_norm(p) for p in premises)
-    return _prove(gamma, _norm(goal))
-
-
-def prove_H_trace(premises: Iterable[Formula], goal: Formula) -> tuple[bool, list[str]]:
-    """prove_H plus a replayable account of the top-level sequent."""
-    ok = prove_H(premises, goal)
-    lines = [f"premise: {to_text(p)}" for p in sorted(premises, key=canonical_text)]
-    lines.append(f"goal: {to_text(goal)}")
-    lines.append("provable" if ok else "not provable")
-    return ok, lines
+    try:
+        return _prove(gamma, _norm(goal))
+    finally:
+        _sequent_cache.clear()
 
 
 # ---------------------------------------------------------------------------
-# Judgment verification
+# Backend dispatch
+
+# (chain size, first-order atom text -> value) refuting a chain query
+Countermodel = tuple[int, Valuation]
 
 
-def _judgment_parts(j: Judgment) -> tuple[list[Formula], Formula]:
-    formulas = list(j.criticals) + list(j.instances) + [j.goal]
+def decide(
+    logic: Logic, premises: Sequence[Formula], goal: Formula, budget: int = DEFAULT_BUDGET
+) -> tuple[bool, Countermodel | None]:
+    """Does premises |- goal hold in the logic?  The one map from logic to backend.
+
+    Atoms are abstracted first.  Classical, lcN and lc decide
+    (premises) -> goal on the 2-chain, the N-chain and the chain of
+    (atom count + 2) values; a failure carries the chain size and a
+    countervaluation keyed by the original atoms.  Premises valid on the
+    chain carry no information there and are dropped, which keeps the query
+    CNF and peak memory smaller.  H uses the intuitionistic prover.  KC is H
+    plus weak excluded middle ~p | ~~p for each atom p of the query: H
+    derives ~psi | ~~psi for compound psi from the instances for its atoms,
+    and an instance over a foreign atom turns into one over top.  The
+    prover gives no countermodel.
+    """
+    formulas = [*premises, goal]
     for f in formulas:
         if not is_quantifier_free(f):
-            raise ValueError(f"judgments must be quantifier-free: {to_text(f)}")
-    abstracted, _ = abstract_atoms(formulas)
-    return abstracted[:-1], abstracted[-1]
-
-
-def _verify_on_chain(premises: list[Formula], goal: Formula, m: int | None, budget: int) -> bool:
-    # Premises that are themselves valid on the target chain carry no
-    # information there; dropping them keeps the query's CNF smaller, which
-    # lowers peak memory on the longer chains.
-    kept = []
-    for p in premises:
-        size = m if m is not None else lc_chain_size(p)
-        ok, _ = _chain_check(p, size, budget)
-        if not ok:
-            kept.append(p)
-    query = goal if not kept else Implies(and_join(kept), goal)
-    size = m if m is not None else lc_chain_size(query)
-    ok, _ = _chain_check(query, size, budget)
-    return ok
+            raise ValueError(f"not quantifier-free: {to_text(f)}")
+    [*props, prop_goal], legend = abstract_atoms(formulas)
+    match logic.kind:
+        case "h" | "kc":
+            if logic.kind == "kc":
+                props += [schema("J", [name]) for name in legend.values()]  # ~p | ~~p
+            return prove_H(props, prop_goal), None
+        case "classical" | "lcm" | "lc":
+            m = 2 if logic.kind == "classical" else logic.m
+            kept = [p for p in props if not valid_in_LCm(p, m or lc_chain_size(p), budget)[0]]
+            query = Implies(and_join(kept), prop_goal) if kept else prop_goal
+            size = m or lc_chain_size(query)
+            ok, counter = valid_in_LCm(query, size, budget)
+            if ok:
+                return True, None
+            names = {name: to_text(atom) for atom, name in legend.items()}
+            return False, (size, {names[a]: v for a, v in counter.items()})
+    raise ValueError(f"unknown logic {logic}")
 
 
 def verify_judgment(j: Judgment, budget: int = DEFAULT_BUDGET) -> bool:
-    """Does the judgment hold in its logic's backend?
-
-    Classical and m-valued logics check (criticals & instances) -> goal on
-    the corresponding chain; LC uses the atom-count chain bound; KC and H
-    use the intuitionistic prover with the recorded instances as premises.
-    """
-    premises, goal = _judgment_parts(j)
-    match j.logic.kind:
-        case "classical":
-            return _verify_on_chain(premises, goal, 2, budget)
-        case "lcm":
-            return _verify_on_chain(premises, goal, j.logic.m, budget)
-        case "lc":
-            return _verify_on_chain(premises, goal, None, budget)
-        case "kc" | "h":
-            return prove_H(premises, goal)
-    raise ValueError(f"unknown logic {j.logic}")
+    """Does (criticals & instances) -> goal hold in the judgment's logic?"""
+    return decide(j.logic, j.criticals + j.instances, j.goal, budget)[0]
 
 
 # ---------------------------------------------------------------------------

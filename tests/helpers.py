@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the package's semantics module: the
 truth-table checker works on Python bools, the Godel evaluator is a direct
-dict-based recursion, and the two-element model checker interprets
-first-order formulas by brute force.
+dict-based recursion, the two-element model checker interprets first-order
+formulas by brute force, and the Kripke checker forces formulas in every
+small rooted model.
 """
 
 from __future__ import annotations
@@ -236,6 +237,97 @@ def valid_in_two_element_models(phi: Formula) -> bool:
         ):
             fi = dict(zip(func_names, fvals))
             if not ev(phi, pi, fi, {}):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Oracle 4: finite Kripke models for H and KC
+
+
+def labelled_rooted_posets(max_worlds: int = 4) -> list[tuple[int, ...]]:
+    """Every partial order on worlds 0..n-1 (n <= max_worlds) with a least world.
+
+    A frame is the tuple of up-set bitmasks: bit v of frame[w] is set iff
+    w <= v.  There are 88 of them for max_worlds = 4.
+    """
+    frames = []
+    for n in range(1, max_worlds + 1):
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for chosen in itertools.product((False, True), repeat=len(pairs)):
+            up = [1 << w for w in range(n)]
+            for (a, b), on in zip(pairs, chosen):
+                if on:
+                    up[a] |= 1 << b
+            antisymmetric = all(not (up[b] >> a & 1) for a, b in pairs if up[a] >> b & 1)
+            transitive = all(
+                up[v] & ~up[w] == 0 for w in range(n) for v in range(n) if up[w] >> v & 1
+            )
+            if antisymmetric and transitive and (1 << n) - 1 in up:
+                frames.append(tuple(up))
+    return frames
+
+
+def _canonical_frame(up: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(up)
+
+    def relabel(perm) -> tuple[int, ...]:
+        inv = {w: i for i, w in enumerate(perm)}
+        return tuple(sum(1 << inv[v] for v in range(n) if up[w] >> v & 1) for w in perm)
+
+    return min(relabel(perm) for perm in itertools.permutations(range(n)))
+
+
+# one frame per isomorphism class: validity does not depend on the labels
+KRIPKE_FRAMES = sorted({_canonical_frame(up) for up in labelled_rooted_posets()})
+
+
+def _has_top(up: tuple[int, ...]) -> bool:
+    """A world above every world: the finite rooted frames of KC."""
+    common = (1 << len(up)) - 1
+    for mask in up:
+        common &= mask
+    return common != 0
+
+
+def _forced(phi: Formula, up: tuple[int, ...], val: dict) -> int:
+    """Bitmask of the worlds that force phi; val maps atoms to up-set bitmasks."""
+    n = len(up)
+    match phi:
+        case Atom():
+            return val[phi]
+        case Top():
+            return (1 << n) - 1
+        case Bot():
+            return 0
+        case Not(sub):
+            s = _forced(sub, up, val)
+            return sum(1 << w for w in range(n) if up[w] & s == 0)
+        case And(a, b):
+            return _forced(a, up, val) & _forced(b, up, val)
+        case Or(a, b):
+            return _forced(a, up, val) | _forced(b, up, val)
+        case Implies(a, b):
+            sa, sb = _forced(a, up, val), _forced(b, up, val)
+            return sum(1 << w for w in range(n) if up[w] & sa & ~sb == 0)
+    raise ValueError(phi)
+
+
+def kripke_valid(phi: Formula, logic: str) -> bool:
+    """Validity in every rooted Kripke model of at most 4 worlds ("h"), or of
+    those whose frame has a top world ("kc").  Valuations are up-sets."""
+    atoms: list = []
+    _collect_atoms(phi, atoms)
+    for up in KRIPKE_FRAMES:
+        if logic == "kc" and not _has_top(up):
+            continue
+        full = (1 << len(up)) - 1
+        upsets = [
+            s for s in range(full + 1)
+            if all(up[w] & ~s == 0 for w in range(len(up)) if s >> w & 1)
+        ]
+        for vals in itertools.product(upsets, repeat=len(atoms)):
+            if _forced(phi, up, dict(zip(atoms, vals))) != full:
                 return False
     return True
 

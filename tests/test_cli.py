@@ -59,6 +59,13 @@ def test_check_valid_invalid_budget(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_check_kc_weak_excluded_middle(capsys):
+    code, out, _ = run_cli(capsys, "check", "--logic", "kc", "~A | ~~A")
+    assert code == 0 and out == "valid in kc\n"
+    code, out, _ = run_cli(capsys, "check", "--logic", "h", "~A | ~~A")
+    assert code == 1 and out == "invalid in h\n"
+
+
 def test_check_lc_refutes_eleven_link_chain(capsys):
     # 12 atoms on the 14-chain: 14^12 valuations, far past any enumeration
     text = " | ".join(f"(A{i} -> A{i + 1})" for i in range(1, 12))

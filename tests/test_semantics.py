@@ -5,11 +5,13 @@ import pytest
 
 from epsitau.judgments import CLASSICAL, H, KC, LC, lcm, make_judgment
 from epsitau.parser import parse_formula as pf
+from epsitau import semantics
 from epsitau.semantics import (
     BudgetExceededError,
     GodelChain,
     abstract_atoms,
     counterexample_Bm,
+    decide,
     eval_godel,
     is_bigdisj_instance,
     is_em_instance,
@@ -18,7 +20,6 @@ from epsitau.semantics import (
     is_weak_em_instance,
     lc_chain_size,
     prove_H,
-    prove_H_trace,
     schema,
     schema_relations_check,
     valid_classical,
@@ -30,6 +31,7 @@ from epsitau.syntax import And, Atom, Bot, Implies, Not, Or, Top, or_join
 
 from helpers import (
     godel_oracle,
+    kripke_valid,
     random_prop_formula,
     refutes,
     taut_oracle,
@@ -214,11 +216,14 @@ def test_prover_with_premises():
     assert prove_H([pf("A"), pf("A -> B")], pf("B"))
     assert prove_H([pf("A | B"), pf("A -> C"), pf("B -> C")], pf("C"))
     assert not prove_H([pf("A -> B")], pf("B"))
+    assert prove_H([pf("A")], pf("A | B"))
 
 
-def test_prover_trace():
-    ok, lines = prove_H_trace([pf("A")], pf("A | B"))
-    assert ok and lines[-1] == "provable"
+def test_prover_memo_is_scoped_to_one_query():
+    assert prove_H([pf("A | B"), pf("A -> C"), pf("B -> C")], pf("C"))
+    assert semantics._sequent_cache == {}
+    assert not prove_H([], pf("((A -> B) -> A) -> A"))
+    assert semantics._sequent_cache == {}
 
 
 def test_prover_sound_for_chains():
@@ -328,3 +333,40 @@ def test_abstract_atoms_injective_on_alpha_classes():
     abstracted, names = abstract_atoms(fs)
     assert abstracted[0] == abstracted[1] != abstracted[2]
     assert len(names) == 2
+
+
+# ---------------------------------------------------------------------------
+# KC: H plus weak excluded middle on the query's atoms
+
+
+def test_kc_weak_excluded_middle():
+    assert verify_judgment(make_judgment(KC, [], pf("~A(c) | ~~A(c)")))
+    assert not verify_judgment(make_judgment(H, [], pf("~A(c) | ~~A(c)")))
+    assert decide(KC, [], pf("~(A & B) | ~~(A & B)")) == (True, None)
+    assert decide(KC, [], pf("(A -> B) | (B -> A)")) == (False, None)
+    assert decide(KC, [pf("~B")], pf("~A | ~~A")) == (True, None)
+
+
+def test_decide_countermodel_names_first_order_atoms():
+    assert decide(lcm(3), [], pf("P(f(c)) | ~P(f(c))")) == (False, (3, {"P(f(c))": 1}))
+    assert decide(LC, [pf("A(c) -> B(c)")], pf("B(c) | ~A(c)"))[1][0] == 4
+
+
+def test_h_kc_agree_with_kripke_models():
+    rng = random.Random(31)
+    atoms = ["A", "B"]
+    formulas = [random_prop_formula(rng, 3, atoms) for _ in range(300)]
+    for _ in range(50):
+        g, h = (random_prop_formula(rng, 2, atoms) for _ in range(2))
+        formulas += [
+            Or(Not(g), Not(Not(g))),
+            Implies(Or(Not(g), Not(Not(g))), h),
+            Or(Not(h), Implies(g, h)),
+        ]
+    splits = 0
+    for phi in formulas:
+        in_h, in_kc = decide(H, [], phi)[0], decide(KC, [], phi)[0]
+        assert in_h == kripke_valid(phi, "h"), phi
+        assert in_kc == kripke_valid(phi, "kc"), phi
+        splits += in_h != in_kc
+    assert splits >= 20
