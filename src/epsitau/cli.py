@@ -27,7 +27,12 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(
+    args, payload: dict, text_lines: list[str], counter: semantics.Countermodel | None = None
+) -> None:
+    if counter is not None:
+        payload["chain_size"], payload["countervaluation"] = counter
+        text_lines = text_lines + [f"countervaluation on the {counter[0]}-chain: {counter[1]}"]
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -55,19 +60,20 @@ def cmd_check(args) -> int:
     ok, counter = semantics.decide(logic, [], parse_formula(args.formula), budget=args.budget)
     payload = {"logic": str(logic), "valid": ok}
     lines = [f"{'valid' if ok else 'invalid'} in {logic}"]
-    if counter is not None:
-        m, readable = counter
-        payload["countervaluation"] = readable
-        payload["chain_size"] = m
-        lines.append(f"countervaluation on the {m}-chain: {readable}")
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, counter)
     return EXIT_OK if ok else EXIT_INVALID
 
 
 def cmd_verify(args) -> int:
     j = load_judgment(Path(args.judgment).read_text())
     ok = semantics.verify_judgment(j, budget=args.budget)
-    _emit(args, {"logic": str(j.logic), "holds": ok}, [f"judgment {'holds' if ok else 'fails'} in {j.logic}"])
+    bad = None if ok else semantics.refuted_instance(j, budget=args.budget)
+    payload = {"logic": str(j.logic), "holds": ok}
+    lines = [f"judgment {'holds' if ok else 'fails'} in {j.logic}"]
+    if bad:
+        payload["instance"] = to_text(bad[0])
+        lines.append(f"instance not a theorem of {j.logic}: {payload['instance']}")
+    _emit(args, payload, lines, bad[1] if bad else None)
     return EXIT_OK if ok else EXIT_INVALID
 
 

@@ -252,12 +252,10 @@ def strengthen_premise(
     """Replace premise A by B, justified by B |- A in the judgment's logic."""
     if a not in j.criticals:
         raise ValueError(f"premise not present: {to_text(a)}")
-    if verify:
-        sub = Judgment(j.logic, (b,), (), a)
-        if not semantics.verify_judgment(sub, budget):
-            raise EliminationError(
-                f"justification {justification!r} failed: {to_text(b)} |- {to_text(a)}"
-            )
+    if verify and not semantics.decide(j.logic, [b], a, budget)[0]:
+        raise EliminationError(
+            f"justification {justification!r} failed: {to_text(b)} |- {to_text(a)}"
+        )
     criticals = tuple(b if f == a else f for f in j.criticals)
     return Judgment(j.logic, dedup(criticals), j.instances, j.goal)
 
@@ -379,8 +377,8 @@ def eliminate_impredicative_Bm(j: Judgment, e: Term, m: int) -> EliminationStep:
 
     The witnesses' contexts are iterated into words of length < m; the goal
     is disjoined over every word applied to e, the predicative premises stay,
-    and the recorded instances are the length-m word chains plus the
-    linearity chains that absorb the substituted predicative premises.
+    and the recorded instances are the m-link chains through the length-m
+    words, and from each predicative witness through the length-(m-1) words.
     """
     if m < 2:
         raise ValueError("chain elimination needs m >= 2")
@@ -392,12 +390,7 @@ def eliminate_impredicative_Bm(j: Judgment, e: Term, m: int) -> EliminationStep:
     def schema(ws, pos):
         contexts = sorted(ws, key=canonical_text)
         instances = [_chain(e, path) for path in _word_paths(e, contexts, m)]
-        instances += [
-            _chain(e, [u] + suffix)
-            for length in range(1, m)
-            for suffix in _word_paths(e, contexts, length)
-            for u in pred_ws
-        ]
+        instances += [_chain(e, [u] + p) for p in _word_paths(e, contexts, m - 1) for u in pred_ws]
         return _words_below(e, contexts, m), dedup(instances)
 
     return _step(j, e, schema, take=lambda r: not is_predicative(r))
@@ -538,6 +531,8 @@ def run_elimination(
 
 def _check_judgment(j: Judgment, budget: int, where: str) -> None:
     if not semantics.verify_judgment(j, budget):
+        if bad := semantics.refuted_instance(j, budget):
+            where += f": instance {to_text(bad[0])} is not a theorem of {j.logic}"
         raise EliminationError(f"verification failed: {where}")
 
 

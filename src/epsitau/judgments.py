@@ -1,9 +1,9 @@
 """Logic tags and derivability judgments.
 
 A Judgment is the claim "criticals, axiom instances |- goal" in a tagged
-propositional logic, over quantifier-free formulas.  The criticals slot may
-hold substitution residues that are no longer critical formulas; they are
-simply extra premises.
+propositional logic, over quantifier-free formulas; each axiom instance
+must be a theorem of the logic.  The criticals slot may hold substitution
+residues that are no longer critical formulas; they are simply premises.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from .syntax import (
     and_join,
     is_quantifier_free,
     or_join,
-    or_spine,
     to_text,
 )
 
@@ -332,100 +331,6 @@ def schema(kind: str, atoms: Sequence[str] | None = None, n: int | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# Schema instance matchers (recorded axiom instances must fit their schema)
-
-
-def is_implication_chain(phi: Formula) -> bool:
-    """A disjunction of implications where each consequent is the next antecedent."""
-    parts = or_spine(phi)
-    if not all(isinstance(p, Implies) for p in parts):
-        return False
-    for a, b in zip(parts, parts[1:]):
-        if a.right != b.left:  # type: ignore[union-attr]
-            return False
-    return True
-
-
-def is_lin_instance(phi: Formula) -> bool:
-    match phi:
-        case Or(Implies(a1, b1), Implies(b2, a2)):
-            return a1 == a2 and b1 == b2
-    return False
-
-
-def is_em_instance(phi: Formula) -> bool:
-    """k-ary excluded middle: (V Ai) | (& ~Ai), or the dual (& Ai) | (V ~Ai)."""
-    parts = or_spine(phi)
-    if len(parts) == 2 and isinstance(parts[0], Not) and parts[0].sub == parts[1]:
-        return True  # single tau instance ~A | A
-    for split in range(1, len(parts)):
-        pos, neg = parts[:split], parts[split:]
-        if len(neg) == 1 and _is_neg_conj_of(neg[0], pos):
-            return True
-        if len(pos) == 1:
-            conj = _is_conj_list(pos[0])
-            if all(isinstance(q, Not) for q in neg) and [q.sub for q in neg] == conj:  # type: ignore[union-attr]
-                return True
-    return False
-
-
-def _is_conj_list(phi: Formula) -> list[Formula]:
-    out: list[Formula] = []
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, And):
-            walk(f.left)
-            walk(f.right)
-        else:
-            out.append(f)
-
-    walk(phi)
-    return out
-
-
-def _is_neg_conj_of(phi: Formula, pos: list[Formula]) -> bool:
-    conj = _is_conj_list(phi)
-    return conj == [Not(p) for p in pos]
-
-
-def is_weak_em_instance(phi: Formula) -> bool:
-    """k-ary weak excluded middle: (& ~Ai) | V ~~Ai, or the dual for tau."""
-    parts = or_spine(phi)
-    head, rest = parts[0], parts[1:]
-    conj = _is_conj_list(head)
-    if not rest:
-        return False
-    if all(isinstance(c, Not) for c in conj) and all(
-        isinstance(r, Not) and isinstance(r.sub, Not) for r in rest
-    ):
-        return [c.sub for c in conj] == [r.sub.sub for r in rest]  # type: ignore[union-attr]
-    if all(isinstance(c, Not) and isinstance(c.sub, Not) for c in conj) and all(
-        isinstance(r, Not) for r in rest
-    ):
-        return [c.sub.sub for c in conj] == [r.sub for r in rest]  # type: ignore[union-attr]
-    return False
-
-
-def is_bigdisj_instance(phi: Formula) -> bool:
-    """V_j &_i (Ai -> Aj) over one list of formulas, or the tau dual."""
-    parts = or_spine(phi)
-    k = len(parts)
-    columns: list[list[tuple[Formula, Formula]]] = []
-    for p in parts:
-        conj = _is_conj_list(p)
-        if len(conj) != k or not all(isinstance(c, Implies) for c in conj):
-            return False
-        columns.append([(c.left, c.right) for c in conj])  # type: ignore[union-attr]
-    base_eps = [pair[0] for pair in columns[0]]
-    if all(columns[j][i] == (base_eps[i], base_eps[j]) for j in range(k) for i in range(k)):
-        return True
-    base_tau = [pair[1] for pair in columns[0]]
-    return all(
-        columns[j][i] == (base_tau[j], base_tau[i]) for j in range(k) for i in range(k)
-    )
-
-
-# ---------------------------------------------------------------------------
 # Intuitionistic prover (contraction-free sequent search)
 
 
@@ -524,16 +429,14 @@ def decide(
 ) -> tuple[bool, Countermodel | None]:
     """Does premises |- goal hold in the logic?  The one map from logic to backend.
 
-    Atoms are abstracted first.  Classical, lcN and lc decide
-    (premises) -> goal on the 2-chain, the N-chain and the chain of
-    (atom count + 2) values; a failure carries the chain size and a
-    countervaluation keyed by the original atoms.  Premises valid on the
-    chain carry no information there and are dropped, which keeps the query
-    CNF and peak memory smaller.  H uses the intuitionistic prover.  KC is H
-    plus weak excluded middle ~p | ~~p for each atom p of the query: H
-    derives ~psi | ~~psi for compound psi from the instances for its atoms,
-    and an instance over a foreign atom turns into one over top.  The
-    prover gives no countermodel.
+    Atoms are abstracted first.  Classical, lcN and lc decide the one query
+    and_join(premises) -> goal, or the goal alone without premises, on the
+    2-chain, the N-chain and the chain of (atom count + 2) values; a failure
+    carries the chain size and a countervaluation keyed by the original
+    atoms.  H uses the intuitionistic prover.  KC is H plus weak excluded
+    middle ~p | ~~p for each atom p of the query: H derives ~psi | ~~psi for
+    compound psi from the instances for its atoms, and an instance over a
+    foreign atom turns into one over top.  The prover gives no countermodel.
     """
     formulas = [*premises, goal]
     for f in formulas:
@@ -547,8 +450,7 @@ def decide(
             return prove_H(props, prop_goal), None
         case "classical" | "lcm" | "lc":
             m = 2 if logic.kind == "classical" else logic.m
-            kept = [p for p in props if not valid_in_LCm(p, m or lc_chain_size(p), budget)[0]]
-            query = Implies(and_join(kept), prop_goal) if kept else prop_goal
+            query = Implies(and_join(props), prop_goal) if props else prop_goal
             size = m or lc_chain_size(query)
             ok, counter = valid_in_LCm(query, size, budget)
             if ok:
@@ -558,9 +460,26 @@ def decide(
     raise ValueError(f"unknown logic {logic}")
 
 
+def refuted_instance(
+    j: Judgment, budget: int = DEFAULT_BUDGET
+) -> tuple[Formula, Countermodel | None] | None:
+    """First instance of j that its logic refutes, with countermodel; one query per atom shape."""
+    first_of_shape: dict[Formula, Formula] = {}
+    for inst in j.instances:
+        first_of_shape.setdefault(abstract_atoms([inst])[0][0], inst)
+    for inst in first_of_shape.values():
+        ok, counter = decide(j.logic, [], inst, budget)
+        if not ok:
+            return inst, counter
+    return None
+
+
 def verify_judgment(j: Judgment, budget: int = DEFAULT_BUDGET) -> bool:
-    """Does (criticals & instances) -> goal hold in the judgment's logic?"""
-    return decide(j.logic, j.criticals + j.instances, j.goal, budget)[0]
+    """Are j's instances theorems of its logic, and does criticals -> goal hold there?
+
+    A theorem is top in every Godel valuation and a cut in H and KC, so it leaves the query.
+    """
+    return refuted_instance(j, budget) is None and decide(j.logic, j.criticals, j.goal, budget)[0]
 
 
 # ---------------------------------------------------------------------------

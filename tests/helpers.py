@@ -3,8 +3,8 @@
 The oracles here deliberately avoid the package's semantics module: the
 truth-table checker works on Python bools, the Godel evaluator is a direct
 dict-based recursion, the two-element model checker interprets first-order
-formulas by brute force, and the Kripke checker forces formulas in every
-small rooted model.
+formulas by brute force, the Kripke checker forces formulas in every
+small rooted model, and the schema matchers compare shapes structurally.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from epsitau.syntax import (
     Var,
     abstract_var,
     instantiate,
+    or_spine,
     subterms,
 )
 
@@ -333,6 +334,100 @@ def kripke_valid(phi: Formula, logic: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Oracle 5: schema shapes (recorded axiom instances must fit their schema)
+
+
+def is_implication_chain(phi: Formula) -> bool:
+    """A disjunction of implications where each consequent is the next antecedent."""
+    parts = or_spine(phi)
+    if not all(isinstance(p, Implies) for p in parts):
+        return False
+    for a, b in zip(parts, parts[1:]):
+        if a.right != b.left:  # type: ignore[union-attr]
+            return False
+    return True
+
+
+def is_lin_instance(phi: Formula) -> bool:
+    match phi:
+        case Or(Implies(a1, b1), Implies(b2, a2)):
+            return a1 == a2 and b1 == b2
+    return False
+
+
+def is_em_instance(phi: Formula) -> bool:
+    """k-ary excluded middle: (V Ai) | (& ~Ai), or the dual (& Ai) | (V ~Ai)."""
+    parts = or_spine(phi)
+    if len(parts) == 2 and isinstance(parts[0], Not) and parts[0].sub == parts[1]:
+        return True  # single tau instance ~A | A
+    for split in range(1, len(parts)):
+        pos, neg = parts[:split], parts[split:]
+        if len(neg) == 1 and _is_neg_conj_of(neg[0], pos):
+            return True
+        if len(pos) == 1:
+            conj = _is_conj_list(pos[0])
+            if all(isinstance(q, Not) for q in neg) and [q.sub for q in neg] == conj:  # type: ignore[union-attr]
+                return True
+    return False
+
+
+def _is_conj_list(phi: Formula) -> list[Formula]:
+    out: list[Formula] = []
+
+    def walk(f: Formula) -> None:
+        if isinstance(f, And):
+            walk(f.left)
+            walk(f.right)
+        else:
+            out.append(f)
+
+    walk(phi)
+    return out
+
+
+def _is_neg_conj_of(phi: Formula, pos: list[Formula]) -> bool:
+    conj = _is_conj_list(phi)
+    return conj == [Not(p) for p in pos]
+
+
+def is_weak_em_instance(phi: Formula) -> bool:
+    """k-ary weak excluded middle: (& ~Ai) | V ~~Ai, or the dual for tau."""
+    parts = or_spine(phi)
+    head, rest = parts[0], parts[1:]
+    conj = _is_conj_list(head)
+    if not rest:
+        return False
+    if all(isinstance(c, Not) for c in conj) and all(
+        isinstance(r, Not) and isinstance(r.sub, Not) for r in rest
+    ):
+        return [c.sub for c in conj] == [r.sub.sub for r in rest]  # type: ignore[union-attr]
+    if all(isinstance(c, Not) and isinstance(c.sub, Not) for c in conj) and all(
+        isinstance(r, Not) for r in rest
+    ):
+        return [c.sub.sub for c in conj] == [r.sub for r in rest]  # type: ignore[union-attr]
+    return False
+
+
+def is_bigdisj_instance(phi: Formula) -> bool:
+    """V_j &_i (Ai -> Aj) over one list of formulas, or the tau dual."""
+    parts = or_spine(phi)
+    k = len(parts)
+    columns: list[list[tuple[Formula, Formula]]] = []
+    for p in parts:
+        conj = _is_conj_list(p)
+        if len(conj) != k or not all(isinstance(c, Implies) for c in conj):
+            return False
+        columns.append([(c.left, c.right) for c in conj])  # type: ignore[union-attr]
+    base_eps = [pair[0] for pair in columns[0]]
+    if all(columns[j][i] == (base_eps[i], base_eps[j]) for j in range(k) for i in range(k)):
+        return True
+    base_tau = [pair[1] for pair in columns[0]]
+    return all(
+        columns[j][i] == (base_tau[j], base_tau[i]) for j in range(k) for i in range(k)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Seeded random generators
 
 
@@ -417,8 +512,8 @@ def random_prop_formula(rng: random.Random, depth: int, atoms: list[str]) -> For
             return Bot()
 
 
-def random_classical_judgment(rng: random.Random):
-    """A small valid classical judgment: criticals entail a chosen critical.
+def random_classical_judgment(rng: random.Random, logic=CLASSICAL):
+    """A small judgment, valid in every logic: criticals entail a chosen critical.
 
     Uses at most 3 epsilon terms with ranks up to 2 and one or two witnesses
     each, mixing ground, cross-term, and impredicative witnesses.
@@ -450,7 +545,7 @@ def random_classical_judgment(rng: random.Random):
                 witness = App("f", (e,))  # impredicative
             criticals.append(make_critical(m, h, "eps", witness).rendered)
     goal = rng.choice(criticals)
-    return make_judgment(CLASSICAL, criticals, goal)
+    return make_judgment(logic, criticals, goal)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,23 @@ def test_verify_judgment_file(tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_rejects_instance_that_is_not_a_theorem(tmp_path, capsys):
+    # an instance is certified as a theorem of the logic, never assumed
+    path = tmp_path / "free.judgment"
+    path.write_text("logic: lc3\ninstance: P(a) -> Q(a)\ninstance: P(a)\ngoal: Q(a)\n")
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert out.splitlines()[:2] == ["judgment fails in lc3", "instance not a theorem of lc3: P(a) -> Q(a)"]
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", str(path))
+    doc = json.loads(out)
+    assert code == 1 and doc["holds"] is False and doc["instance"] == "P(a) -> Q(a)"
+    counter = doc["countervaluation"]
+    assert doc["chain_size"] == 3 and counter["P(a)"] > counter["Q(a)"]
+    code, _, err = run_cli(capsys, "eliminate", str(path), "--verify", "steps")
+    assert code == 1
+    assert err == "verification failed: input judgment: instance P(a) -> Q(a) is not a theorem of lc3\n"
+
+
 def test_reconstruct(capsys):
     code, out, _ = run_cli(
         capsys,

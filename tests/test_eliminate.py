@@ -25,20 +25,20 @@ from epsitau.eliminate import (
     theorem_form_convert,
     trace_to_json,
 )
+from epsitau import semantics
 from epsitau.judgments import CLASSICAL, KC, LC, lcm, make_judgment
 from epsitau.parser import parse_formula as pf, parse_term as pt
-from epsitau.semantics import (
-    is_bigdisj_instance,
-    is_em_instance,
-    is_implication_chain,
-    is_weak_em_instance,
-    verify_judgment,
-)
+from epsitau.semantics import verify_judgment
 from epsitau.critical import is_predicative
 from epsitau.syntax import Implies, Not, contains_etau, or_spine, to_text
 
 from helpers import (
     chain_witness_judgment,
+    godel_oracle,
+    is_bigdisj_instance,
+    is_em_instance,
+    is_implication_chain,
+    is_weak_em_instance,
     lc3_worked_judgment,
     random_classical_judgment,
     taut_oracle,
@@ -356,9 +356,11 @@ def test_bm_full_expansion_words():
     # predicative premises stay untouched
     assert pf("A(u) -> A(eps x. A(x))") in st.after.criticals
     assert pf("A(v) -> A(eps x. A(x))") in st.after.criticals
-    # 8 length-3 chains plus 12 absorption chains
-    assert len(st.axiom_instances_used) == 20
+    # 8 word chains plus 8 three-link absorption chains, one per u, v and
+    # length-2 word; every one is a theorem of lc3
+    assert len(st.axiom_instances_used) == 16
     assert all(is_implication_chain(i) for i in st.axiom_instances_used)
+    assert all(len(or_spine(i)) == 3 for i in st.axiom_instances_used)
 
 
 def test_bm_errors():
@@ -675,13 +677,29 @@ def test_step_soundness_random():
         assert all(holds)
 
 
-def test_instance_honesty_random():
+@pytest.mark.parametrize("logic", [CLASSICAL, lcm(2), lcm(3), lcm(4)], ids=str)
+def test_instance_honesty_random(logic):
     rng = random.Random(321)
+    size = logic.m or 2
     for _ in range(25):
-        j = random_classical_judgment(rng)
+        j = random_classical_judgment(rng, logic)
         for st in run_elimination(j).steps:
             for inst in st.axiom_instances_used:
                 assert is_em_instance(inst) or is_implication_chain(inst) or is_bigdisj_instance(inst)
+                assert godel_oracle(inst, size), to_text(inst)
+
+
+def test_verified_worked_example_query_count(monkeypatch):
+    # a solve per checked judgment and per distinct instance shape, not per premise
+    solve, calls = semantics.solve, []
+
+    def counting_solve(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(semantics, "solve", counting_solve)
+    run_elimination(lc3_worked_judgment(), verify=True)
+    assert 0 < len(calls) <= 10
 
 
 # ---------------------------------------------------------------------------

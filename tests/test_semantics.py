@@ -13,11 +13,6 @@ from epsitau.semantics import (
     counterexample_Bm,
     decide,
     eval_godel,
-    is_bigdisj_instance,
-    is_em_instance,
-    is_implication_chain,
-    is_lin_instance,
-    is_weak_em_instance,
     lc_chain_size,
     prove_H,
     schema,
@@ -31,6 +26,11 @@ from epsitau.syntax import And, Atom, Bot, Implies, Not, Or, Top, or_join
 
 from helpers import (
     godel_oracle,
+    is_bigdisj_instance,
+    is_em_instance,
+    is_implication_chain,
+    is_lin_instance,
+    is_weak_em_instance,
     kripke_valid,
     random_prop_formula,
     refutes,
