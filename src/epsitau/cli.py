@@ -67,13 +67,13 @@ def cmd_check(args) -> int:
 def cmd_verify(args) -> int:
     j = load_judgment(Path(args.judgment).read_text())
     ok = semantics.verify_judgment(j, budget=args.budget)
-    bad = None if ok else semantics.refuted_instance(j, budget=args.budget)
+    instance, counter = (None, None) if ok else semantics.why_fails(j, budget=args.budget)
     payload = {"logic": str(j.logic), "holds": ok}
     lines = [f"judgment {'holds' if ok else 'fails'} in {j.logic}"]
-    if bad:
-        payload["instance"] = to_text(bad[0])
+    if instance is not None:
+        payload["instance"] = to_text(instance)
         lines.append(f"instance not a theorem of {j.logic}: {payload['instance']}")
-    _emit(args, payload, lines, bad[1] if bad else None)
+    _emit(args, payload, lines, counter)
     return EXIT_OK if ok else EXIT_INVALID
 
 

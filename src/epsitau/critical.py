@@ -10,7 +10,6 @@ elimination procedure's termination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .syntax import (
@@ -24,7 +23,6 @@ from .syntax import (
     Tau,
     Term,
     Var,
-    _children,
     abstract_var,
     canonical_text,
     dedup,
@@ -32,6 +30,7 @@ from .syntax import (
     free_vars,
     instantiate,
     is_quantifier_free,
+    locally_closed,
     match_matrix,
     occurs,
     to_text,
@@ -155,13 +154,18 @@ def is_weak(c: CriticalFormula, critical_terms_of_proof: Iterable[Term]) -> bool
 
 def _has_ref(node: Obj, level: int) -> bool:
     """Does node contain a bound index pointing `level` binders above it?"""
-    match node:
-        case Bound(i):
-            return i == level
-        case _ if isinstance(node, BINDERS):
-            return _has_ref(node.body, level + 1)
-        case _:
-            return any(_has_ref(k, level) for k in _children(node))
+    stack = [(node, level)]
+    while stack:
+        n, lvl = stack.pop()
+        if isinstance(n, Bound):
+            if n.index == lvl:
+                return True
+        elif locally_closed(n, lvl):
+            continue  # no index reaches that far out
+        else:
+            inner = lvl + 1 if isinstance(n, BINDERS) else lvl
+            stack += [(k, inner) for k in n._kids()]
+    return False
 
 
 def nested_subterms(e: Term) -> list[Term]:
@@ -180,27 +184,28 @@ def subordinate_subterms(e: Term) -> list[Term]:
     if not isinstance(e, BINDER_TERMS):
         return []
     out: list[Term] = []
-
-    def walk(node: Obj, depth: int) -> None:
-        if isinstance(node, BINDER_TERMS):
-            if _has_ref(node, depth) and node not in out:
-                out.append(node)
-            walk(node.body, depth + 1)
-            return
-        for k in _children(node):
-            walk(k, depth)
-
-    walk(e.body, 0)
+    stack = [(e.body, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, BINDER_TERMS) and _has_ref(node, depth) and node not in out:
+            out.append(node)
+        inner = depth + 1 if isinstance(node, BINDER_TERMS) else depth
+        stack += [(k, inner) for k in reversed(node._kids())]
     return out
 
 
-@lru_cache(maxsize=None)
 def degree(e: Term) -> int:
-    """1 plus the maximal degree of the nested epsilon/tau terms (0 for non-binders)."""
+    """1 plus the maximal degree of the nested epsilon/tau terms (0 for non-binders).
+
+    The value is kept on the term, so it lives exactly as long as the term.
+    """
     if not isinstance(e, BINDER_TERMS):
         return 0
-    nested = nested_subterms(e)
-    return 1 + max((degree(u) for u in nested), default=0)
+    try:
+        return e._degree
+    except AttributeError:
+        e._degree = 1 + max((degree(u) for u in nested_subterms(e)), default=0)
+        return e._degree
 
 
 def rank(e: Term) -> int:
@@ -210,12 +215,15 @@ def rank(e: Term) -> int:
     return _rank_occurrence(e)
 
 
-@lru_cache(maxsize=None)
 def _rank_occurrence(u: Term) -> int:
     # An occurrence inside another term may mention that term's variable
     # through an escaping index; the recursion only inspects internal ones.
-    subs = subordinate_subterms(u)
-    return 1 + max((_rank_occurrence(v) for v in subs), default=0)
+    # The value is kept on the term, like the degree.
+    try:
+        return u._rank
+    except AttributeError:
+        u._rank = 1 + max((_rank_occurrence(v) for v in subordinate_subterms(u)), default=0)
+        return u._rank
 
 
 def select_max(critical_terms: Iterable[Term]) -> Term:

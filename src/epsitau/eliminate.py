@@ -37,6 +37,7 @@ from .syntax import (
     Tau,
     Term,
     Var,
+    _nodes,
     and_join,
     canonical_text,
     contains_etau,
@@ -48,6 +49,7 @@ from .syntax import (
     match_holes,
     or_join,
     or_spine,
+    sharing,
     subst_term,
     subst_var,
     to_text,
@@ -340,35 +342,39 @@ def eliminate_predicative_lin(j: Judgment, e: Term) -> EliminationStep:
     return _step(j, e, schema)
 
 
-def _apply_word(word: Sequence[Term], e: Term) -> Term:
-    out = e
-    for ctx in reversed(word):
-        out = subst_term(ctx, e, out)
-    return out
+def _words(e: Term, contexts: Sequence[Term], n: int) -> dict[tuple[Term, ...], Term]:
+    """Every word of length <= n over the contexts, applied to e.
+
+    A word's term is its first context applied to its suffix's term, so each
+    is built once.  The words come in order of length, then lexicographically.
+    """
+    terms: dict[tuple[Term, ...], Term] = {(): e}
+    for length in range(1, n + 1):
+        for word in itertools.product(contexts, repeat=length):
+            terms[word] = subst_term(word[0], e, terms[word[1:]])
+    return terms
 
 
-def _words_below(e: Term, contexts: Sequence[Term], m: int) -> list[Term]:
-    """Every word of length < m over the contexts, applied to e, without repeats."""
-    words = [
-        _apply_word(word, e)
-        for length in range(m)
-        for word in itertools.product(contexts, repeat=length)
-    ]
-    return list(dedup(words))
+def _words_below(words: dict[tuple[Term, ...], Term], m: int) -> list[Term]:
+    """The terms of the words of length < m, without repeats."""
+    return list(dedup(t for w, t in words.items() if len(w) < m))
 
 
-def _word_paths(e: Term, contexts: Sequence[Term], length: int) -> list[list[Term]]:
-    """For each word w of the given length, the terms w e, w[1:] e, ..., e."""
+def _word_paths(words: dict[tuple[Term, ...], Formula], length: int) -> list[list[Formula]]:
+    """For each word w of the given length, the values at w, w[1:], ..., ()."""
     return [
-        [_apply_word(word[i:], e) for i in range(length + 1)]
-        for word in itertools.product(contexts, repeat=length)
+        [words[w[i:]] for i in range(length + 1)] for w in words if len(w) == length
     ]
 
 
-def _chain(e: Term, path: Sequence[Term]) -> Formula:
-    atoms = [_at(e, t) for t in path]
-    if isinstance(e, Tau):
-        atoms.reverse()
+def _word_atoms(e: Term, words: dict[tuple[Term, ...], Term]) -> dict[tuple[Term, ...], Formula]:
+    """A(w e) for each word w."""
+    return {w: _at(e, t) for w, t in words.items()}
+
+
+def _chain(e: Term, atoms: Sequence[Formula]) -> Formula:
+    """The links between consecutive atoms, in reverse for a tau term."""
+    atoms = list(reversed(atoms) if isinstance(e, Tau) else atoms)
     return or_join([Implies(a, b) for a, b in zip(atoms, atoms[1:])])
 
 
@@ -388,10 +394,12 @@ def eliminate_impredicative_Bm(j: Judgment, e: Term, m: int) -> EliminationStep:
     pred_ws = _witnesses([(f, r) for f, r in readings if is_predicative(r)])
 
     def schema(ws, pos):
-        contexts = sorted(ws, key=canonical_text)
-        instances = [_chain(e, path) for path in _word_paths(e, contexts, m)]
-        instances += [_chain(e, [u] + p) for p in _word_paths(e, contexts, m - 1) for u in pred_ws]
-        return _words_below(e, contexts, m), dedup(instances)
+        words = _words(e, sorted(ws, key=canonical_text), m)
+        atoms = _word_atoms(e, words)
+        firsts = [_at(e, u) for u in pred_ws]
+        instances = [_chain(e, path) for path in _word_paths(atoms, m)]
+        instances += [_chain(e, [a] + p) for p in _word_paths(atoms, m - 1) for a in firsts]
+        return _words_below(words, m), dedup(instances)
 
     return _step(j, e, schema, take=lambda r: not is_predicative(r))
 
@@ -404,9 +412,9 @@ def bm_stage(j: Judgment, e: Term, i: int) -> tuple[Formula, list[Formula]]:
     construction mid-flight.
     """
     impred = [(f, r) for f, r in judgment_readings(j).get(e, []) if not is_predicative(r)]
-    contexts = sorted(_witnesses(impred), key=canonical_text)
-    goal, _ = _expand(j.goal, e, _words_below(e, contexts, i))
-    return goal, [_chain(e, path) for path in _word_paths(e, contexts, i)]
+    words = _words(e, sorted(_witnesses(impred), key=canonical_text), i)
+    goal, _ = _expand(j.goal, e, _words_below(words, i))
+    return goal, [_chain(e, path) for path in _word_paths(_word_atoms(e, words), i)]
 
 
 def eliminate_complete_Gm(j: Judgment, e: Term, m: int) -> list[EliminationStep]:
@@ -437,9 +445,12 @@ def eliminate_complete_Gm(j: Judgment, e: Term, m: int) -> list[EliminationStep]
 DRIVERS = {"hb": ("classical", "lcm"), "weak-lin": ("lc",), "jankov": None}
 
 
-def _finish(j: Judgment, steps: list[EliminationStep]) -> EliminationTrace:
-    """The trace, with each alpha-class of residual terms grounded as a fresh constant."""
-    sig = Signature.collect(j.goal, *j.criticals, *j.instances)
+def _finish(j: Judgment, steps: list[EliminationStep], sig: Signature) -> EliminationTrace:
+    """The trace, with each alpha-class of residual terms grounded as a fresh constant.
+
+    ``sig`` is the input judgment's signature: elimination adds no symbols,
+    so the fresh names avoid every name of the final judgment as well.
+    """
     goal = j.goal
     grounding: list[tuple[Term, str]] = []
     while residuals := etau_subterms(goal):
@@ -477,7 +488,8 @@ def run_elimination(
     per alpha-class.  With ``verify`` the backend checks the judgment after
     every step (for hb the input first) once the loop ends, so a run that
     ends in a failure report sends no query; a failed check raises
-    EliminationError.
+    EliminationError.  The loop builds its nodes in one sharing scope, closed
+    before the checks.
     """
     if driver not in DRIVERS:
         raise ValueError(f"unknown driver {driver!r} (use {', '.join(DRIVERS)})")
@@ -485,54 +497,60 @@ def run_elimination(
         raise ValueError(f"the {driver} driver does not handle logic {j.logic}")
     if verify and driver == "hb":
         _check_judgment(j, budget, "input judgment")
+    given = j
     steps: list[EliminationStep] = []
-    readings = judgment_readings(j)
-    while readings:
-        e = first if not steps and first in readings else select_max(list(readings))
-        if driver == "weak-lin":
-            offending = _impredicative(readings[e])
-            if offending:
-                return FailureReport(
-                    step_index=len(steps),
-                    target=e,
-                    formula=offending[0],
-                    reason="impredicative critical formula",
-                    steps=tuple(steps),
-                )
-            new_steps = [eliminate_predicative_lin(j, e)]
-        elif driver == "jankov":
-            new_steps = [eliminate_negated_jankov(j, e)]
-        elif j.logic.kind == "classical":
-            new_steps = [eliminate_complete_classical(j, e)]
-        else:
-            new_steps = eliminate_complete_Gm(j, e, j.logic.m)
-        if on_step is not None:
-            for st in new_steps:
-                on_step(st)
-        steps.extend(new_steps)
-        j = new_steps[-1].after
-        if driver == "jankov":
-            break
-        previous, readings = readings, judgment_readings(j)
-        if driver == "hb":
-            before_measure = judgment_measure(list(previous))
-            after_measure = judgment_measure(list(readings))
-            if not after_measure < before_measure:
-                raise EliminationError(
-                    f"termination measure did not decrease: {before_measure} -> {after_measure}"
-                )
+    with sharing():
+        readings = judgment_readings(j)
+        while readings:
+            e = first if not steps and first in readings else select_max(list(readings))
+            if driver == "weak-lin":
+                offending = _impredicative(readings[e])
+                if offending:
+                    return FailureReport(
+                        step_index=len(steps),
+                        target=e,
+                        formula=offending[0],
+                        reason="impredicative critical formula",
+                        steps=tuple(steps),
+                    )
+                new_steps = [eliminate_predicative_lin(j, e)]
+            elif driver == "jankov":
+                new_steps = [eliminate_negated_jankov(j, e)]
+            elif j.logic.kind == "classical":
+                new_steps = [eliminate_complete_classical(j, e)]
+            else:
+                new_steps = eliminate_complete_Gm(j, e, j.logic.m)
+            if on_step is not None:
+                for st in new_steps:
+                    on_step(st)
+            steps.extend(new_steps)
+            j = new_steps[-1].after
+            if driver == "jankov":
+                break
+            previous, readings = readings, judgment_readings(j)
+            if driver == "hb":
+                before_measure = judgment_measure(list(previous))
+                after_measure = judgment_measure(list(readings))
+                if not after_measure < before_measure:
+                    raise EliminationError(
+                        f"termination measure did not decrease: {before_measure} -> {after_measure}"
+                    )
     if verify:
         for st in steps:
             _check_judgment(st.after, budget, f"after eliminating {to_text(st.target)}")
     if driver == "jankov":
         return EliminationTrace(tuple(steps), j.goal, ())
-    return _finish(j, steps)
+    sig = Signature.collect(given.goal, *given.criticals, *given.instances)
+    return _finish(j, steps, sig)
 
 
 def _check_judgment(j: Judgment, budget: int, where: str) -> None:
     if not semantics.verify_judgment(j, budget):
-        if bad := semantics.refuted_instance(j, budget):
-            where += f": instance {to_text(bad[0])} is not a theorem of {j.logic}"
+        instance, counter = semantics.why_fails(j, budget)
+        if instance is not None:
+            where += f": instance {to_text(instance)} is not a theorem of {j.logic}"
+        elif counter is not None:
+            where += f": countervaluation on the {counter[0]}-chain: {counter[1]}"
         raise EliminationError(f"verification failed: {where}")
 
 
@@ -695,11 +713,8 @@ def theorem_form_convert(
 
 
 def _mentions(phi: Formula, atom: Formula) -> bool:
-    if phi == atom:
-        return True
-    from .syntax import _children
-
-    return any(isinstance(k, Formula) and _mentions(k, atom) for k in _children(phi))
+    """Does atom occur in phi outside its terms?"""
+    return any(n == atom for n in _nodes(phi, lambda n: not isinstance(n, Atom)))
 
 
 # ---------------------------------------------------------------------------

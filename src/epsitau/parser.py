@@ -100,25 +100,24 @@ class _Parser:
 
     # formula := implication (right associative)
     def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "->":
-            self.next()
-            return Implies(left, self.formula())
-        return left
+        return self._chain("->", Implies, self.disjunction)
 
     def disjunction(self) -> Formula:
-        left = self.conjunction()
-        if self.peek().kind == "|":
-            self.next()
-            return Or(left, self.disjunction())
-        return left
+        return self._chain("|", Or, self.conjunction)
 
     def conjunction(self) -> Formula:
-        left = self.unary()
-        if self.peek().kind == "&":
+        return self._chain("&", And, self.unary)
+
+    def _chain(self, op: str, node, operand) -> Formula:
+        """operand (op operand)*, nested to the right; a loop, not recursion."""
+        parts = [operand()]
+        while self.peek().kind == op:
             self.next()
-            return And(left, self.conjunction())
-        return left
+            parts.append(operand())
+        out = parts.pop()
+        for left in reversed(parts):
+            out = node(left, out)
+        return out
 
     def unary(self) -> Formula:
         tok = self.peek()

@@ -11,7 +11,6 @@ plus propagations, so every check terminates with an answer or an error.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable
 
 _DECAY = 1 / 0.95
 _RESCALE = 1e100
@@ -22,8 +21,12 @@ class BudgetExceededError(RuntimeError):
     than its budget allows."""
 
 
-def solve(nvars: int, clauses: Iterable[list[int]], budget: int) -> list[bool] | None:
-    """A model indexed by variable (index 0 unused), or None if unsatisfiable."""
+def solve(nvars: int, clauses: list[list[int]], budget: int) -> list[bool] | None:
+    """A model indexed by variable (index 0 unused), or None if unsatisfiable.
+
+    The clause lists are consumed: the solver rewrites each in place into
+    its own literal codes, so the search never holds two copies of a clause.
+    """
     return _Solver(nvars, budget).run(clauses)
 
 
@@ -47,10 +50,14 @@ class _Solver:
         self.seen = [False] * n
         self.heap = [(0.0, v) for v in range(1, n)]  # (-activity, v); sorted is a heap
 
-    def run(self, clauses: Iterable[list[int]]) -> list[bool] | None:
+    def run(self, clauses: list[list[int]]) -> list[bool] | None:
         val, watches = self.val, self.watches
-        for c in clauses:
-            lits = [x + x if x > 0 else 1 - x - x for x in c]
+        n = len(self.level)
+        # code[x] is the code of DIMACS literal x (a negative x counts from the
+        # end); clauses share these int objects instead of holding their own.
+        code = [v + v for v in range(n)] + [1 - x - x for x in range(1 - n, 0)]
+        for lits in clauses:
+            lits[:] = map(code.__getitem__, lits)
             if len({p >> 1 for p in lits}) < len(lits):
                 lits = list(dict.fromkeys(lits))
                 if any(p ^ 1 in lits for p in lits):

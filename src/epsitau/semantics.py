@@ -30,7 +30,10 @@ from .syntax import (
     and_join,
     is_quantifier_free,
     or_join,
+    or_spine,
+    sharing,
     to_text,
+    transform,
 )
 
 DEFAULT_BUDGET = 20_000_000
@@ -58,10 +61,17 @@ Valuation = dict[str, int]
 # Propositional abstraction
 
 def _atomic_subformulas(phi: Formula, seen: dict[Formula, None]) -> None:
-    """Add phi's atoms to seen in left-to-right order (explicit stack, no recursion)."""
+    """Add phi's atoms to seen in left-to-right order (explicit stack, no recursion).
+
+    A shared node is walked once: its atoms were all seen at its first visit.
+    """
+    visited: set[int] = set()
     stack = [phi]
     while stack:
         f = stack.pop()
+        if id(f) in visited:
+            continue
+        visited.add(id(f))
         match f:
             case Atom():
                 seen.setdefault(f)
@@ -86,23 +96,38 @@ def abstract_atoms(formulas: Sequence[Formula]) -> tuple[list[Formula], dict[For
         _atomic_subformulas(f, atoms)
     names = {a: f"p{i + 1}" for i, a in enumerate(atoms)}
 
-    def rewrite(phi: Formula) -> Formula:
-        match phi:
-            case Atom():
-                return Atom(names[phi], ())
-            case Top() | Bot():
-                return phi
-            case Not(sub):
-                return Not(rewrite(sub))
-            case And(a, b):
-                return And(rewrite(a), rewrite(b))
-            case Or(a, b):
-                return Or(rewrite(a), rewrite(b))
-            case Implies(a, b):
-                return Implies(rewrite(a), rewrite(b))
-        raise ValueError(f"not quantifier-free: {to_text(phi)}")
+    def leaf(phi: Formula, depth: int) -> Formula | None:
+        return Atom(names[phi], ()) if isinstance(phi, Atom) else None
 
-    return [rewrite(f) for f in formulas], names
+    # the atom walk above already rejected every other kind of node
+    return [transform(f, leaf) for f in formulas], names
+
+
+def _shape(phi: Formula) -> tuple:
+    """phi's connectives in prefix order, with atoms numbered by first occurrence.
+
+    Two formulas have the same shape iff abstract_atoms maps them to the same
+    propositional formula, but no node is built.
+    """
+    index: dict[Formula, int] = {}
+    out: list = []
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        match f:
+            case Atom():
+                out.append(index.setdefault(f, len(index)))
+            case Top() | Bot():
+                out.append(type(f))
+            case Not(sub):
+                out.append(Not)
+                stack.append(sub)
+            case And(a, b) | Or(a, b) | Implies(a, b):
+                out.append(type(f))
+                stack += (b, a)
+            case _:
+                raise ValueError(f"not quantifier-free: {to_text(f)}")
+    return tuple(out)
 
 
 def prop_atoms(phi: Formula) -> list[str]:
@@ -410,11 +435,12 @@ def _prove(gamma: frozenset[Formula], goal: Formula) -> bool:
 
 def prove_H(premises: Iterable[Formula], goal: Formula) -> bool:
     """Decide intuitionistic propositional consequence (premises |- goal)."""
-    gamma = frozenset(_norm(p) for p in premises)
-    try:
-        return _prove(gamma, _norm(goal))
-    finally:
-        _sequent_cache.clear()
+    with sharing():
+        gamma = frozenset(_norm(p) for p in premises)
+        try:
+            return _prove(gamma, _norm(goal))
+        finally:
+            _sequent_cache.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +463,14 @@ def decide(
     middle ~p | ~~p for each atom p of the query: H derives ~psi | ~~psi for
     compound psi from the instances for its atoms, and an instance over a
     foreign atom turns into one over top.  The prover gives no countermodel.
+    A query that holds by the identity axiom is answered before any of this.
     """
     formulas = [*premises, goal]
     for f in formulas:
         if not is_quantifier_free(f):
             raise ValueError(f"not quantifier-free: {to_text(f)}")
+    if _by_identity(premises, goal):
+        return True, None
     [*props, prop_goal], legend = abstract_atoms(formulas)
     match logic.kind:
         case "h" | "kc":
@@ -460,13 +489,25 @@ def decide(
     raise ValueError(f"unknown logic {logic}")
 
 
+def _by_identity(premises: Sequence[Formula], goal: Formula) -> bool:
+    """Is a disjunct of the goal top, a premise, or of the form a -> a?
+
+    Then premises |- goal holds in every intermediate logic.
+    """
+    given = set(premises)
+    return any(
+        d is TOP or d in given or (isinstance(d, Implies) and d.left == d.right)
+        for d in or_spine(goal)
+    )
+
+
 def refuted_instance(
     j: Judgment, budget: int = DEFAULT_BUDGET
 ) -> tuple[Formula, Countermodel | None] | None:
     """First instance of j that its logic refutes, with countermodel; one query per atom shape."""
-    first_of_shape: dict[Formula, Formula] = {}
+    first_of_shape: dict[tuple, Formula] = {}
     for inst in j.instances:
-        first_of_shape.setdefault(abstract_atoms([inst])[0][0], inst)
+        first_of_shape.setdefault(_shape(inst), inst)
     for inst in first_of_shape.values():
         ok, counter = decide(j.logic, [], inst, budget)
         if not ok:
@@ -480,6 +521,16 @@ def verify_judgment(j: Judgment, budget: int = DEFAULT_BUDGET) -> bool:
     A theorem is top in every Godel valuation and a cut in H and KC, so it leaves the query.
     """
     return refuted_instance(j, budget) is None and decide(j.logic, j.criticals, j.goal, budget)[0]
+
+
+def why_fails(
+    j: Judgment, budget: int = DEFAULT_BUDGET
+) -> tuple[Formula | None, Countermodel | None]:
+    """For a judgment that fails: its first refuted instance, or None when the
+    criticals -> goal query fails, with the countermodel of that query."""
+    if bad := refuted_instance(j, budget):
+        return bad
+    return None, decide(j.logic, j.criticals, j.goal, budget)[1]
 
 
 # ---------------------------------------------------------------------------

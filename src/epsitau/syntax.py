@@ -3,13 +3,30 @@
 Bound variables are stored as position indices (a nameless representation),
 so structural equality of nodes *is* equality up to renaming of bound
 variables.  Surface names are kept as non-comparing hints and only matter
-for printing.  All values are immutable; every operation returns new nodes.
+for printing.
+
+Nodes are immutable by convention (a field is set once, when the node is
+built; epsilon/tau terms also keep their rank and degree once asked) and
+shared: operations return the node they were given wherever nothing
+changes, so formulas are DAGs rather than trees.  Each node computes its
+facts once, when it is built: its hash, its free variables, whether it
+holds an epsilon/tau term or a quantifier, and how far its bound indices
+escape.  The queries read those facts instead of walking.  Inside a
+``sharing()`` scope the constructors also hash-cons: a node equal to one
+already built in the scope, binder names included, *is* that node.  The
+intern table belongs to the outermost open scope and is dropped when it
+closes (each elimination run opens one), so it never outgrows one run.
+Walkers keep an explicit stack and visit each distinct node once, so their
+cost follows the distinct nodes, not the tree, and no walker recurses along
+a long disjunction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+import operator
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Union
 
 
 class SortError(TypeError):
@@ -19,153 +36,391 @@ class SortError(TypeError):
 # ---------------------------------------------------------------------------
 # Nodes
 
+# Bits of a node's _info: whether it holds an epsilon/tau term or a
+# quantifier.  The bits above them count how far its bound indices escape
+# (0: locally closed).
+_ETAU, _QUANT = 1, 2
+_NO_VARS: frozenset[str] = frozenset()
 
-class Term:
-    __slots__ = ()
+# The intern table of the open sharing scope (None outside every scope).  A
+# value is the node itself, or a tuple of alpha-equal nodes whose binder
+# names differ.
+_table: dict | None = None
+# The latest subst_term call of the open scope: (e, s, memo, roots).  A call
+# with the same e and s continues the memo, so substituting one term through
+# many formulas rewrites each shared node once; roots keeps the memo's keys
+# (node ids) alive.
+_last_subst: tuple | None = None
+
+
+class _Node:
+    __slots__ = ("_hash", "_fv", "_info")
+    __match_args__: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and (self._same(other) or _equal(self, other))
 
     def __str__(self) -> str:
         return to_text(self)
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({to_text(self)!r})"
 
-class Formula:
+    def _label(self) -> object:
+        return None
+
+    def _kids(self) -> tuple:
+        return ()
+
+    def _same(self, other: "_Node") -> bool:
+        """Same label, binder name and child objects as a node of the same class."""
+        a, b = self._kids(), other._kids()
+        return self._label() == other._label() and len(a) == len(b) and all(map(operator.is_, a, b))
+
+
+class Term(_Node):
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return to_text(self)
+
+class Formula(_Node):
+    __slots__ = ()
 
 
 Obj = Union[Term, Formula]
 
 
-@dataclass(frozen=True, slots=True)
+def _intern(node: _Node) -> _Node:
+    table = _table
+    if table is None:
+        return node
+    hit = table.setdefault(node, node)
+    if hit is node:
+        return node
+    variants = hit if type(hit) is tuple else (hit,)
+    for v in variants:
+        if v._same(node) or _equal(v, node, names=True):
+            return v
+    table[node] = variants + (node,)
+    return node
+
+
+def _combine(node: _Node, kids: Iterable[_Node]) -> None:
+    """Set node's free variables and flags from its children's."""
+    fv, info = _NO_VARS, 0
+    for k in kids:
+        kf = k._fv
+        if not kf <= fv:
+            fv = kf if fv <= kf else fv | kf
+        ki = k._info
+        info = max(info, ki) | ((info | ki) & 3)
+    node._fv = fv
+    node._info = info
+
+
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str) -> "Var":
+        self = object.__new__(cls)
+        self.name = name
+        self._hash = hash((name,))
+        self._fv = frozenset((name,))
+        self._info = 0
+        return _intern(self)
+
+    def _label(self) -> object:
+        return self.name
 
 
-@dataclass(frozen=True, slots=True)
 class Bound(Term):
     """A bound variable, counted outward from its binder.  Internal."""
 
-    index: int
+    __slots__ = ("index",)
+    __match_args__ = ("index",)
+
+    def __new__(cls, index: int) -> "Bound":
+        self = object.__new__(cls)
+        self.index = index
+        self._hash = hash((index,))
+        self._fv = _NO_VARS
+        self._info = (index + 1) << 2
+        return _intern(self)
+
+    def _label(self) -> object:
+        return self.index
 
 
-@dataclass(frozen=True, slots=True)
 class App(Term):
-    head: str
-    args: tuple[Term, ...] = ()
+    __slots__ = ("head", "args")
+    __match_args__ = ("head", "args")
+
+    def __new__(cls, head: str, args: tuple[Term, ...] = ()) -> "App":
+        self = object.__new__(cls)
+        self.head = head
+        self.args = args
+        self._hash = hash((head, args))
+        _combine(self, args)
+        return _intern(self)
+
+    def _label(self) -> object:
+        return self.head
+
+    def _kids(self) -> tuple:
+        return self.args
+
+    def _with(self, kids: tuple) -> "App":
+        return App(self.head, kids)
 
 
-@dataclass(frozen=True, slots=True)
-class Eps(Term):
-    hint: str = field(compare=False)
-    body: Formula
-
-
-@dataclass(frozen=True, slots=True)
-class Tau(Term):
-    hint: str = field(compare=False)
-    body: Formula
-
-
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
-    pred: str
-    args: tuple[Term, ...] = ()
+    __slots__ = ("pred", "args")
+    __match_args__ = ("pred", "args")
+
+    def __new__(cls, pred: str, args: tuple[Term, ...] = ()) -> "Atom":
+        self = object.__new__(cls)
+        self.pred = pred
+        self.args = args
+        self._hash = hash((pred, args))
+        _combine(self, args)
+        return _intern(self)
+
+    def _label(self) -> object:
+        return self.pred
+
+    def _kids(self) -> tuple:
+        return self.args
+
+    def _with(self, kids: tuple) -> "Atom":
+        return Atom(self.pred, kids)
 
 
-@dataclass(frozen=True, slots=True)
-class Top(Formula):
-    pass
+class _Binder(_Node):
+    __slots__ = ("hint", "body")
+    __match_args__ = ("hint", "body")
+    _flag = 0
+
+    def __new__(cls, hint: str, body: Formula):
+        self = object.__new__(cls)
+        self.hint = hint
+        self.body = body
+        self._hash = hash((body,))
+        self._fv = body._fv
+        i = body._info
+        self._info = max((i >> 2) - 1, 0) << 2 | (i & 3) | cls._flag
+        return _intern(self)
+
+    def _kids(self) -> tuple:
+        return (self.body,)
+
+    def _with(self, kids: tuple):
+        return type(self)(self.hint, kids[0])
+
+    def _same(self, other: _Node) -> bool:
+        return self.body is other.body and self.hint == other.hint
 
 
-@dataclass(frozen=True, slots=True)
-class Bot(Formula):
-    pass
+class Eps(_Binder, Term):
+    # _degree and _rank memoize critical.degree and critical.rank; unset
+    # until first asked for.
+    __slots__ = ("_degree", "_rank")
+    _flag = _ETAU
 
 
-@dataclass(frozen=True, slots=True)
+class Tau(_Binder, Term):
+    __slots__ = ("_degree", "_rank")
+    _flag = _ETAU
+
+
+class Forall(_Binder, Formula):
+    __slots__ = ()
+    _flag = _QUANT
+
+
+class Exists(_Binder, Formula):
+    __slots__ = ()
+    _flag = _QUANT
+
+
+class _Constant(Formula):
+    __slots__ = ()
+
+    def __new__(cls):
+        return cls._the
+
+
+class Top(_Constant):
+    __slots__ = ()
+
+
+class Bot(_Constant):
+    __slots__ = ()
+
+
 class Not(Formula):
-    sub: Formula
+    __slots__ = ("sub",)
+    __match_args__ = ("sub",)
+
+    def __new__(cls, sub: Formula) -> "Not":
+        self = object.__new__(cls)
+        self.sub = sub
+        self._hash = hash((sub,))
+        self._fv = sub._fv
+        self._info = sub._info
+        return _intern(self)
+
+    def _kids(self) -> tuple:
+        return (self.sub,)
+
+    def _with(self, kids: tuple) -> "Not":
+        return Not(kids[0])
 
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        self = object.__new__(cls)
+        self.left = left
+        self.right = right
+        self._hash = hash((left, right))
+        fl, fr = left._fv, right._fv
+        self._fv = fl if fr <= fl else fr if fl <= fr else fl | fr
+        il, ir = left._info, right._info
+        self._info = max(il, ir) | ((il | ir) & 3)
+        return _intern(self)
+
+    def _kids(self) -> tuple:
+        return (self.left, self.right)
+
+    def _with(self, kids: tuple):
+        return type(self)(kids[0], kids[1])
+
+    def _same(self, other: _Node) -> bool:
+        return self.left is other.left and self.right is other.right
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Forall(Formula):
-    hint: str = field(compare=False)
-    body: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Exists(Formula):
-    hint: str = field(compare=False)
-    body: Formula
+def _constant(cls: type) -> _Constant:
+    node = object.__new__(cls)
+    node._hash, node._fv, node._info = hash(()), _NO_VARS, 0
+    cls._the = node
+    return node
 
 
-TOP = Top()
-BOT = Bot()
+TOP = _constant(Top)
+BOT = _constant(Bot)
 
 BINDER_TERMS = (Eps, Tau)
 BINDER_FORMULAS = (Forall, Exists)
 BINDERS = BINDER_TERMS + BINDER_FORMULAS
 
 
-def _children(obj: Obj) -> tuple[Obj, ...]:
-    match obj:
-        case Var() | Bound() | Top() | Bot():
-            return ()
-        case App(_, args) | Atom(_, args):
-            return args
-        case Eps(_, body) | Tau(_, body) | Forall(_, body) | Exists(_, body):
-            return (body,)
-        case Not(sub):
-            return (sub,)
-        case And(a, b) | Or(a, b) | Implies(a, b):
-            return (a, b)
-    raise SortError(f"not a term or formula: {obj!r}")
+def _equal(a: _Node, b: _Node, names: bool = False) -> bool:
+    """Structural equality, up to the names of bound variables unless ``names``."""
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y) or x._hash != y._hash or x._label() != y._label():
+            return False
+        if names and isinstance(x, _Binder) and x.hint != y.hint:
+            return False
+        kx, ky = x._kids(), y._kids()
+        if len(kx) != len(ky):
+            return False
+        pairs += zip(kx, ky)
+    return True
 
 
-def _rebuild(obj: Obj, children: tuple[Obj, ...]) -> Obj:
-    match obj:
-        case Var() | Bound() | Top() | Bot():
-            return obj
-        case App(head, _):
-            return App(head, children)
-        case Atom(pred, _):
-            return Atom(pred, children)
-        case Eps(hint, _):
-            return Eps(hint, children[0])
-        case Tau(hint, _):
-            return Tau(hint, children[0])
-        case Forall(hint, _):
-            return Forall(hint, children[0])
-        case Exists(hint, _):
-            return Exists(hint, children[0])
-        case Not(_):
-            return Not(children[0])
-        case And(_, _):
-            return And(children[0], children[1])
-        case Or(_, _):
-            return Or(children[0], children[1])
-        case Implies(_, _):
-            return Implies(children[0], children[1])
-    raise SortError(f"not a term or formula: {obj!r}")
+@contextmanager
+def sharing() -> Iterator[None]:
+    """Hash-cons the nodes built inside; the outermost scope drops the table."""
+    global _table, _last_subst
+    if _table is not None:
+        yield
+        return
+    _table = {}
+    try:
+        yield
+    finally:
+        _table = _last_subst = None
+
+
+# ---------------------------------------------------------------------------
+# Walkers
+
+
+def _nodes(obj: Obj, descend: Callable[[_Node], object] | None = None) -> Iterator[_Node]:
+    """Each distinct node of obj once, in pre-order, left to right.
+
+    The children of a node are visited only if ``descend(node)`` holds.
+    Skipping a node seen before skips no first occurrence: its whole subtree
+    was visited with it.
+    """
+    seen: set[int] = set()
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        if descend is None or descend(node):
+            stack += reversed(node._kids())
+
+
+def transform(
+    obj: Obj, leaf: Callable[[_Node, int], Obj | None], done: dict | None = None
+) -> Obj:
+    """Rebuild obj bottom-up through an explicit stack.
+
+    ``leaf(node, depth)`` is node's replacement, or None to rebuild node from
+    its rewritten children; depth counts the binders between obj and node.
+    Each distinct (node, depth) is rewritten once, and a node whose children
+    all come back unchanged is kept.  ``done`` holds the rewritten nodes, by
+    id(node) at depth 0 and by (id(node), depth) below binders; a caller may
+    pass the one of an earlier call with the same leaf.
+    """
+    if done is None:
+        done = {}
+    stack = [(obj, 0, False)]
+    while stack:
+        node, depth, ready = stack.pop()
+        key = (id(node), depth) if depth else id(node)
+        inner = depth + 1 if isinstance(node, _Binder) else depth
+        if ready:  # every child is rewritten
+            kids = node._kids()
+            new = tuple([done[(id(k), inner) if inner else id(k)] for k in kids])
+            done[key] = node if all(map(operator.is_, new, kids)) else node._with(new)
+        elif key not in done:
+            out = leaf(node, depth)
+            if out is not None:
+                done[key] = out
+            else:
+                stack.append((node, depth, True))
+                stack += [(k, inner, False) for k in reversed(node._kids())]
+    return done[id(obj)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +431,15 @@ def _lift(obj: Obj, by: int, cutoff: int = 0) -> Obj:
     """Add `by` to every bound index escaping `obj` (standard de Bruijn lift)."""
     if by == 0:
         return obj
-    match obj:
-        case Bound(i):
-            return Bound(i + by) if i >= cutoff else obj
-        case Eps() | Tau() | Forall() | Exists():
-            return _rebuild(obj, (_lift(obj.body, by, cutoff + 1),))
-        case _:
-            kids = _children(obj)
-            if not kids:
-                return obj
-            return _rebuild(obj, tuple(_lift(k, by, cutoff) for k in kids))
+
+    def leaf(node, depth):
+        if node._info >> 2 <= cutoff + depth:
+            return node
+        if isinstance(node, Bound):
+            return Bound(node.index + by)
+        return None
+
+    return transform(obj, leaf)
 
 
 def abstract_var(obj: Obj, name: str, depth: int = 0) -> Obj:
@@ -193,19 +447,17 @@ def abstract_var(obj: Obj, name: str, depth: int = 0) -> Obj:
 
     Indices that escape obj are shifted up to skip the new binder.
     """
-    match obj:
-        case Var(n):
-            return Bound(depth) if n == name else obj
-        case Bound(i):
-            return Bound(i + 1) if i >= depth else obj
-        case Eps() | Tau() | Forall() | Exists():
-            body = abstract_var(obj.body, name, depth + 1)
-            return _rebuild(obj, (body,))
-        case _:
-            kids = _children(obj)
-            if not kids:
-                return obj
-            return _rebuild(obj, tuple(abstract_var(k, name, depth) for k in kids))
+
+    def leaf(node, inner):
+        if name not in node._fv and node._info >> 2 <= depth + inner:
+            return node
+        if isinstance(node, Var):
+            return Bound(depth + inner)
+        if isinstance(node, Bound):
+            return Bound(node.index + 1)
+        return None
+
+    return transform(obj, leaf)
 
 
 def instantiate(body: Obj, replacement: Term, depth: int = 0) -> Obj:
@@ -216,19 +468,16 @@ def instantiate(body: Obj, replacement: Term, depth: int = 0) -> Obj:
     binder are decremented.  For locally closed replacements and one-binder
     bodies (the common case) both adjustments are identities.
     """
-    match body:
-        case Bound(i):
-            if i == depth:
-                return _lift(replacement, depth)
-            return Bound(i - 1) if i > depth else body
-        case Eps() | Tau() | Forall() | Exists():
-            inner = instantiate(body.body, replacement, depth + 1)
-            return _rebuild(body, (inner,))
-        case _:
-            kids = _children(body)
-            if not kids:
-                return body
-            return _rebuild(body, tuple(instantiate(k, replacement, depth) for k in kids))
+
+    def leaf(node, inner):
+        at = depth + inner
+        if node._info >> 2 <= at:
+            return node
+        if isinstance(node, Bound):
+            return _lift(replacement, at) if node.index == at else Bound(node.index - 1)
+        return None
+
+    return transform(body, leaf)
 
 
 def eps(name: str, body: Formula) -> Eps:
@@ -249,13 +498,7 @@ def exists(name: str, body: Formula) -> Exists:
 
 def locally_closed(obj: Obj, depth: int = 0) -> bool:
     """True if no bound index escapes `obj`; such a subtree is a standalone value."""
-    match obj:
-        case Bound(i):
-            return i < depth
-        case Eps() | Tau() | Forall() | Exists():
-            return locally_closed(obj.body, depth + 1)
-        case _:
-            return all(locally_closed(k, depth) for k in _children(obj))
+    return obj._info >> 2 <= depth
 
 
 # ---------------------------------------------------------------------------
@@ -263,34 +506,20 @@ def locally_closed(obj: Obj, depth: int = 0) -> bool:
 
 
 def free_vars(obj: Obj) -> frozenset[str]:
-    match obj:
-        case Var(n):
-            return frozenset((n,))
-        case _:
-            out: frozenset[str] = frozenset()
-            for k in _children(obj):
-                out |= free_vars(k)
-            return out
+    return obj._fv
 
 
 def is_quantifier_free(phi: Obj) -> bool:
-    if isinstance(phi, BINDER_FORMULAS):
-        return False
-    return all(is_quantifier_free(k) for k in _children(phi))
+    return not phi._info & _QUANT
 
 
 def contains_etau(obj: Obj) -> bool:
-    if isinstance(obj, BINDER_TERMS):
-        return True
-    return any(contains_etau(k) for k in _children(obj))
+    return bool(obj._info & _ETAU)
 
 
 def subterms(obj: Obj) -> Iterator[Term]:
-    """All term-sort subtrees of obj (including obj itself if it is a term)."""
-    if isinstance(obj, Term):
-        yield obj
-    for k in _children(obj):
-        yield from subterms(k)
+    """The term-sort nodes of obj (obj itself if it is a term), each once."""
+    return (n for n in _nodes(obj) if isinstance(n, Term))
 
 
 def etau_subterms(obj: Obj) -> list[Term]:
@@ -299,24 +528,24 @@ def etau_subterms(obj: Obj) -> list[Term]:
     Occurrences that use a variable of an enclosing binder are not standalone
     terms and are skipped.
     """
-    seen: list[Term] = []
+    found = (
+        n
+        for n in _nodes(obj, lambda n: n._info & _ETAU)
+        if isinstance(n, BINDER_TERMS) and n._info < 4
+    )
+    return list(dict.fromkeys(found))
 
-    def walk(node: Obj) -> None:
-        if isinstance(node, BINDER_TERMS) and locally_closed(node):
-            if node not in seen:
-                seen.append(node)
-        for k in _children(node):
-            walk(k)
 
-    walk(obj)
-    return seen
+def _may_hold(e: Term) -> Callable[[_Node], bool]:
+    """Whether a node can have a subterm equal to e, judged by the flags."""
+    need = e._info & (_ETAU | _QUANT)
+    return lambda node: node._info & need == need
 
 
 def occurs(e: Term, obj: Obj) -> bool:
     """True iff some subterm of obj equals e up to bound-variable renaming."""
-    if isinstance(obj, Term) and obj == e:
-        return True
-    return any(occurs(e, k) for k in _children(obj))
+    may_hold = _may_hold(e)
+    return any(isinstance(n, Term) and n == e for n in _nodes(obj, may_hold))
 
 
 def alpha_eq(a: Obj, b: Obj) -> bool:
@@ -336,14 +565,13 @@ def subst_var(phi: Obj, name: str, t: Term) -> Obj:
     Capture cannot arise in the nameless representation: bound occurrences
     are indices and t is locally closed, so it crosses binders unchanged.
     """
-    match phi:
-        case Var(n):
-            return t if n == name else phi
-        case _:
-            kids = _children(phi)
-            if not kids:
-                return phi
-            return _rebuild(phi, tuple(subst_var(k, name, t) for k in kids))
+
+    def leaf(node, depth):
+        if name not in node._fv:
+            return node
+        return t if isinstance(node, Var) else None
+
+    return transform(phi, leaf)
 
 
 def subst_term(obj: Obj, e: Term, s: Term) -> Obj:
@@ -352,14 +580,26 @@ def subst_term(obj: Obj, e: Term, s: Term) -> Obj:
     Matches outermost first and never descends into the replacement, so the
     result is stable even when s contains e.  Occurrences under a binder that
     captures a variable of e differ structurally from e after index shifting
-    and are left alone.
+    and are left alone.  A node that cannot hold e is returned as it is.
     """
-    if isinstance(obj, Term) and obj == e:
-        return s
-    kids = _children(obj)
-    if not kids:
-        return obj
-    return _rebuild(obj, tuple(subst_term(k, e, s) for k in kids))
+    global _last_subst
+    may_hold = _may_hold(e)
+
+    def leaf(node, depth):
+        if not may_hold(node):
+            return node
+        if isinstance(node, Term) and node == e:
+            return s
+        return None
+
+    done = None
+    if _table is not None:
+        last = _last_subst
+        if last is None or last[0] is not e or last[1] is not s:
+            last = _last_subst = (e, s, {}, [])
+        done = last[2]
+        last[3].append(obj)
+    return transform(obj, leaf, done)
 
 
 # ---------------------------------------------------------------------------
@@ -374,42 +614,22 @@ def match_holes(pattern: Obj, target: Obj, holes: frozenset[str] | set[str]) -> 
     capture-avoidance of subst_var.
     """
     binding: dict[str, Term] = {}
-
-    def walk(p: Obj, t: Obj) -> bool:
-        match p:
-            case Var(n) if n in holes:
-                if not isinstance(t, Term) or not locally_closed(t):
-                    return False
-                if n in binding:
-                    return binding[n] == t
-                binding[n] = t
-                return True
-            case Var(n):
-                return isinstance(t, Var) and t.name == n
-            case Bound(i):
-                return isinstance(t, Bound) and t.index == i
-            case App(head, args):
-                return (
-                    isinstance(t, App)
-                    and t.head == head
-                    and len(t.args) == len(args)
-                    and all(walk(a, b) for a, b in zip(args, t.args))
-                )
-            case Atom(pred, args):
-                return (
-                    isinstance(t, Atom)
-                    and t.pred == pred
-                    and len(t.args) == len(args)
-                    and all(walk(a, b) for a, b in zip(args, t.args))
-                )
-            case Top() | Bot():
-                return type(t) is type(p)
-            case _ if type(p) is type(t):
-                return all(walk(a, b) for a, b in zip(_children(p), _children(t)))
-            case _:
-                return False
-
-    return binding if walk(pattern, target) else None
+    pairs = [(pattern, target)]
+    while pairs:
+        p, t = pairs.pop()
+        if isinstance(p, Var) and p.name in holes:
+            if not isinstance(t, Term) or not locally_closed(t):
+                return None
+            if binding.setdefault(p.name, t) != t:
+                return None
+            continue
+        if type(p) is not type(t) or p._label() != t._label():
+            return None
+        kp, kt = p._kids(), t._kids()
+        if len(kp) != len(kt):
+            return None
+        pairs += reversed(list(zip(kp, kt)))
+    return binding
 
 
 def match_matrix(pattern: Formula, hole: str, target: Formula) -> list[Term]:
@@ -429,9 +649,15 @@ def match_matrix(pattern: Formula, hole: str, target: Formula) -> list[Term]:
 
 
 def or_spine(phi: Formula) -> list[Formula]:
-    if isinstance(phi, Or):
-        return or_spine(phi.left) + or_spine(phi.right)
-    return [phi]
+    out: list[Formula] = []
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Or):
+            stack += (f.right, f.left)
+        else:
+            out.append(f)
+    return out
 
 
 def or_join(parts: Iterable[Formula]) -> Formula:
@@ -463,6 +689,10 @@ def dedup(objs: Iterable[Obj]) -> tuple[Obj, ...]:
 # Printing
 
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3, 4
+_INFIX = {Implies: (" -> ", _PREC_IMP), Or: (" | ", _PREC_OR), And: (" & ", _PREC_AND)}
+_KEYWORD = {Eps: "eps", Tau: "tau", Forall: "all", Exists: "ex"}
+_LEAVE = object()  # marks the end of a binder's scope on the work stack
+_SHARED = (App, Atom, Eps, Tau)
 
 
 def _pick_name(hint: str, avoid: set[str]) -> str:
@@ -472,66 +702,96 @@ def _pick_name(hint: str, avoid: set[str]) -> str:
     return name
 
 
-def _fmt(obj: Obj, prec: int, env: list[str], avoid: set[str], canonical: bool) -> str:
-    def wrap(s: str, mine: int) -> str:
-        return f"({s})" if prec > mine else s
+def _fmt(obj: Obj, canonical: bool) -> str:
+    """Render obj with an explicit work stack of nodes and literal pieces.
 
-    match obj:
-        case Var(n):
-            return n
-        case Bound(i):
-            return env[-1 - i] if i < len(env) else f"?b{i - len(env)}"
-        case App(head, args) | Atom(head, args):
-            if not args:
-                return head
-            inner = ", ".join(_fmt(a, _PREC_IMP, env, avoid, canonical) for a in args)
-            return f"{head}({inner})"
-        case Top():
-            return "top"
-        case Bot():
-            return "bot"
-        case Not(sub):
-            return wrap("~" + _fmt(sub, _PREC_NOT, env, avoid, canonical), _PREC_NOT)
-        case And(a, b):
-            s = (
-                _fmt(a, _PREC_AND + 1, env, avoid, canonical)
-                + " & "
-                + _fmt(b, _PREC_AND, env, avoid, canonical)
-            )
-            return wrap(s, _PREC_AND)
-        case Or(a, b):
-            s = (
-                _fmt(a, _PREC_OR + 1, env, avoid, canonical)
-                + " | "
-                + _fmt(b, _PREC_OR, env, avoid, canonical)
-            )
-            return wrap(s, _PREC_OR)
-        case Implies(a, b):
-            s = (
-                _fmt(a, _PREC_IMP + 1, env, avoid, canonical)
-                + " -> "
-                + _fmt(b, _PREC_IMP, env, avoid, canonical)
-            )
-            return wrap(s, _PREC_IMP)
-        case Eps() | Tau() | Forall() | Exists():
-            kw = {Eps: "eps", Tau: "tau", Forall: "all", Exists: "ex"}[type(obj)]
-            name = f"?{len(env)}" if canonical else _pick_name(obj.hint, avoid)
+    A chain of one infix connective nested to the right is printed in one
+    pass, its operands joined by the connective, so neither the stack nor
+    the string work grows with re-printing the spine.  Terms and atoms
+    outside every binder print the same wherever they occur, so a shared
+    one is rendered once.
+    """
+    out: list[str] = []
+    env: list[str] = []  # binder names, innermost last
+    avoid = set(obj._fv)
+    memo: dict[int, str] = {}
+    work: list = [(obj, 0)]
+    while work:
+        item = work.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if item is _LEAVE:
+            avoid.discard(env.pop())
+            continue
+        if type(item) is list:  # [node, start]: node's pieces are out[start:]
+            node, start = item
+            out[start:] = [memo.setdefault(id(node), "".join(out[start:]))]
+            continue
+        node, prec = item
+        cls = type(node)
+        if not env and cls in _SHARED:
+            text = memo.get(id(node))
+            if text is not None:
+                out.append(text)
+                continue
+            work.append([node, len(out)])
+        if cls is Var:
+            out.append(node.name)
+        elif cls is Bound:
+            i = node.index
+            out.append(env[-1 - i] if i < len(env) else f"?b{i - len(env)}")
+        elif cls is App or cls is Atom:
+            out.append(node._label())
+            if node.args:
+                out.append("(")
+                work.append(")")
+                for k, a in enumerate(reversed(node.args)):
+                    if k:
+                        work.append(", ")
+                    work.append((a, _PREC_IMP))
+        elif cls is Top or cls is Bot:
+            out.append("top" if cls is Top else "bot")
+        elif cls is Not:
+            wrap = prec > _PREC_NOT
+            out.append("(~" if wrap else "~")
+            if wrap:
+                work.append(")")
+            work.append((node.sub, _PREC_NOT))
+        elif cls in _INFIX:
+            sep, mine = _INFIX[cls]
+            lefts = []
+            while type(node) is cls:
+                lefts.append(node.left)
+                node = node.right
+            if prec > mine:
+                out.append("(")
+                work.append(")")
+            work.append((node, mine))
+            for left in reversed(lefts):
+                work += (sep, (left, mine + 1))
+        elif isinstance(node, _Binder):
+            name = f"?{len(env)}" if canonical else _pick_name(node.hint, avoid)
+            wrap = prec > _PREC_IMP and isinstance(node, BINDER_FORMULAS)
+            out.append(f"{'(' if wrap else ''}{_KEYWORD[cls]} {name}. ")
+            if wrap:
+                work.append(")")
             env.append(name)
-            body = _fmt(obj.body, _PREC_IMP, env, avoid | {name}, canonical)
-            env.pop()
-            s = f"{kw} {name}. {body}"
-            return wrap(s, _PREC_IMP) if isinstance(obj, BINDER_FORMULAS) else s
-    raise SortError(f"not a term or formula: {obj!r}")
+            avoid.add(name)
+            work += (_LEAVE, (node.body, _PREC_IMP))
+        else:
+            raise SortError(f"not a term or formula: {node!r}")
+    return "".join(out)
 
 
 def to_text(obj: Obj) -> str:
     """Render in the surface grammar; parsing the result gives back obj."""
-    return _fmt(obj, 0, [], set(free_vars(obj)), canonical=False)
+    return _fmt(obj, canonical=False)
 
 
 def canonical_text(obj: Obj) -> str:
     """Hint-independent rendering, used for deterministic ordering."""
-    return _fmt(obj, 0, [], set(free_vars(obj)), canonical=True)
+    return _fmt(obj, canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +837,16 @@ class Signature:
         self._names.add(name)
 
     def extend(self, obj: Obj) -> None:
-        match obj:
-            case Var(n):
-                self.note_name(n)
-            case App(head, args):
-                self.declare(head, len(args), "function")
-            case Atom(pred, args):
-                self.declare(pred, len(args), "predicate" if args else "propositional-atom")
-            case Eps(hint, _) | Tau(hint, _) | Forall(hint, _) | Exists(hint, _):
-                self.note_name(hint)
-        for k in _children(obj):
-            self.extend(k)
+        for node in _nodes(obj):
+            match node:
+                case Var(n):
+                    self.note_name(n)
+                case App(head, args):
+                    self.declare(head, len(args), "function")
+                case Atom(pred, args):
+                    self.declare(pred, len(args), "predicate" if args else "propositional-atom")
+                case Eps(hint, _) | Tau(hint, _) | Forall(hint, _) | Exists(hint, _):
+                    self.note_name(hint)
 
     @classmethod
     def collect(cls, *objs: Obj) -> "Signature":
@@ -595,5 +854,3 @@ class Signature:
         for o in objs:
             sig.extend(o)
         return sig
-
-

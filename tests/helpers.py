@@ -587,3 +587,16 @@ def weak_lin_negative_judgment():
     c1 = pf("A(f(eps y. B(y))) -> A(eps x. A(x))")
     c2 = pf("B(g(eps x. A(x))) -> B(eps y. B(y))")
     return make_judgment(LC, [c1, c2], And(c1, c2))
+
+
+def grid_judgment(logic: str, k: int):
+    """The benchmark grid's judgment: k impredicative contexts s1..sk and two
+    predicative witnesses u1, u2 for e = eps x. A(x), goal A(u1) -> A(e)."""
+    from epsitau.judgments import load_judgment
+
+    e = "eps x. A(x)"
+    lines = [f"logic: {logic}"]
+    lines += [f"critical: A(s{i}({e})) -> A({e})" for i in range(1, k + 1)]
+    lines += [f"critical: A(u{i}) -> A({e})" for i in (1, 2)]
+    lines.append(f"goal: A(u1) -> A({e})")
+    return load_judgment("\n".join(lines) + "\n")

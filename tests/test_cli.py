@@ -202,3 +202,25 @@ def test_reconstruct(capsys):
 def test_unknown_logic_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "check", "--logic", "nonsense", "A")
     assert code == 2
+
+
+def test_verify_prints_countervaluation_of_failed_query(tmp_path, capsys):
+    # the three-link chain schema fails on the 4-chain: strictly descending values
+    path = tmp_path / "chain.judgment"
+    path.write_text("logic: lc4\ngoal: (A1 -> A2) | (A2 -> A3) | (A3 -> A4)\n")
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert out.splitlines() == [
+        "judgment fails in lc4",
+        "countervaluation on the 4-chain: {'A1': 3, 'A2': 2, 'A3': 1, 'A4': 0}",
+    ]
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", str(path))
+    doc = json.loads(out)
+    assert code == 1 and doc["holds"] is False and "instance" not in doc
+    assert doc["chain_size"] == 4
+    assert doc["countervaluation"] == {"A1": 3, "A2": 2, "A3": 1, "A4": 0}
+    path.write_text("logic: classical\ncritical: A(u) -> A(eps x. A(x))\ngoal: B\n")
+    code, _, err = run_cli(capsys, "eliminate", str(path), "--verify", "steps")
+    assert code == 1
+    assert err.startswith("verification failed: input judgment: countervaluation on the 2-chain: {")
+    assert "'B': 0" in err

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,7 @@ from epsitau.eliminate import (
     theorem_form_convert,
     trace_to_json,
 )
-from epsitau import semantics
+from epsitau import semantics, syntax
 from epsitau.judgments import CLASSICAL, KC, LC, lcm, make_judgment
 from epsitau.parser import parse_formula as pf, parse_term as pt
 from epsitau.semantics import verify_judgment
@@ -35,6 +37,7 @@ from epsitau.syntax import Implies, Not, contains_etau, or_spine, to_text
 from helpers import (
     chain_witness_judgment,
     godel_oracle,
+    grid_judgment,
     is_bigdisj_instance,
     is_em_instance,
     is_implication_chain,
@@ -719,3 +722,34 @@ def test_trace_json_deterministic():
     a = trace_to_json(run_elimination(j), j.logic)
     b = trace_to_json(run_elimination(j), j.logic)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Long goals and run-scoped state
+
+
+@pytest.mark.parametrize("logic, k, count", [("lc5", 4, 682), ("lc6", 3, 728)])
+def test_grid_cells_with_long_goals(logic, k, count):
+    # the goals reach hundreds of disjuncts; the walkers keep explicit stacks,
+    # so the default recursion limit is enough
+    assert sys.getrecursionlimit() <= 1000
+    trace = run_elimination(grid_judgment(logic, k))
+    assert len(or_spine(trace.result)) == count
+    assert not contains_etau(trace.result)
+
+
+def test_repeated_runs_leave_no_state_behind():
+    # the intern table lives for one run, and rank and degree are kept on the
+    # terms, so a second run, on other terms, leaves no more behind
+    def live_after_run(build) -> tuple[int, int]:
+        trace = run_elimination(build())
+        assert trace.result is not None and syntax._table is None
+        del trace
+        gc.collect()
+        nodes = [o for o in gc.get_objects() if isinstance(o, syntax.Term | syntax.Formula)]
+        measured = [t for t in nodes if hasattr(t, "_degree") or hasattr(t, "_rank")]
+        return len(nodes), len(measured)
+
+    first = live_after_run(lambda: grid_judgment("lc3", 3))
+    second = live_after_run(chain_witness_judgment)
+    assert second[0] <= first[0] and second[1] <= first[1]

@@ -370,3 +370,14 @@ def test_h_kc_agree_with_kripke_models():
         assert in_kc == kripke_valid(phi, "kc"), phi
         splits += in_h != in_kc
     assert splits >= 20
+
+
+def test_identity_axiom_needs_no_backend():
+    # a goal disjunct that is top, a premise or a -> a settles the query in
+    # every logic before the backend runs, so even budget 0 is enough
+    for logic in (CLASSICAL, lcm(5), LC, KC, H):
+        assert semantics.decide(logic, [], pf("(A -> A) | B"), budget=0) == (True, None)
+        assert semantics.decide(logic, [pf("P(a)")], pf("Q | P(a)"), budget=0) == (True, None)
+        assert semantics.decide(logic, [], pf("B | top"), budget=0) == (True, None)
+    with pytest.raises(semantics.BudgetExceededError):
+        semantics.decide(CLASSICAL, [], pf("(A -> B) | B"), budget=0)

@@ -3,24 +3,31 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epsitau.judgments import CLASSICAL
+from epsitau.semantics import decide
 from epsitau.syntax import (
     App,
     Atom,
+    Implies,
     SortError,
     Var,
     alpha_eq,
     canonical_text,
+    contains_etau,
     dedup,
     eps,
     free_vars,
+    is_quantifier_free,
     match_matrix,
     occurs,
     or_join,
     or_spine,
+    sharing,
     subst_term,
     subst_var,
     to_text,
 )
+from epsitau.translate import et_translate
 from epsitau.parser import parse_formula as pf, parse_term as pt
 
 from helpers import random_formula, random_matrix, random_term
@@ -222,3 +229,35 @@ def test_subst_commutes_on_disjoint_occurrences(seed):
     one = subst_term(subst_term(phi, e1, s1), e2, s2)
     two = subst_term(subst_term(phi, e2, s2), e1, s1)
     assert alpha_eq(one, two)
+
+
+# ---------------------------------------------------------------------------
+# Shared nodes and long disjunctions
+
+
+def test_sharing_interns_alpha_equal_terms_and_keeps_binder_names():
+    with sharing():
+        a, b, c = pt("eps x. P(x)"), pt("eps y. P(y)"), pt("eps x. P(x)")
+        text = to_text(et_translate(pf("(ex x. P(x)) & (ex y. P(y))")))
+    assert a == b and hash(a) == hash(b)
+    assert a is c  # one node per structure and binder names
+    assert a is not b and (to_text(a), to_text(b)) == ("eps x. P(x)", "eps y. P(y)")
+    assert text == "P(eps x. P(x)) & P(eps y. P(y))"
+
+
+def test_long_disjunction_needs_no_recursion():
+    # A(c0) -> A(c1) | ... | A(c4999) -> A(e): every walker keeps an explicit
+    # stack, so the default recursion limit is enough
+    n = 5000
+    e = pt("eps x. A(x)")
+    ts = [App(f"c{i}", ()) for i in range(n)] + [e]
+    goal = or_join([Implies(Atom("A", (ts[i],)), Atom("A", (ts[i + 1],))) for i in range(n)])
+    assert len(or_spine(goal)) == n
+    assert pf(to_text(goal)) == goal
+    assert contains_etau(goal) and is_quantifier_free(goal)
+    closed = subst_term(goal, e, ts[0])  # closes the chain into a cycle
+    assert not contains_etau(closed) and is_quantifier_free(closed)
+    assert to_text(closed).endswith(" | (A(c4999) -> A(c0))")
+    assert decide(CLASSICAL, [], goal) == decide(CLASSICAL, [], closed) == (True, None)
+    ok, (size, counter) = decide(CLASSICAL, [closed], Atom("B"))
+    assert not ok and size == 2 and len(counter) == n + 1 and counter["B"] == 0
