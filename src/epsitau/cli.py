@@ -15,7 +15,7 @@ from pathlib import Path
 from . import eliminate as elim
 from . import semantics
 from .critical import degree, is_predicative, is_weak, rank, recognize_critical
-from .judgments import load_judgment, parse_logic
+from .judgments import load_judgment, make_judgment, parse_logic
 from .parser import ParseError, parse_formula, parse_term
 from .semantics import BudgetExceededError, DEFAULT_BUDGET
 from .syntax import to_text
@@ -66,8 +66,9 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     j = load_judgment(Path(args.judgment).read_text())
-    ok = semantics.verify_judgment(j, budget=args.budget)
-    instance, counter = (None, None) if ok else semantics.why_fails(j, budget=args.budget)
+    failure = semantics.why_fails(j, budget=args.budget)
+    ok = failure is None
+    instance, counter = failure or (None, None)
     payload = {"logic": str(j.logic), "holds": ok}
     lines = [f"judgment {'holds' if ok else 'fails'} in {j.logic}"]
     if instance is not None:
@@ -111,9 +112,7 @@ def cmd_eliminate(args) -> int:
         return EXIT_INVALID
     # a jankov run is one step, so its result may keep other critical formulas
     if args.verify == "full" and args.driver != "jankov":
-        if not semantics.decide(j.logic, [], out.result, budget=args.budget)[0]:
-            print("verification failed: final result", file=sys.stderr)
-            return EXIT_INVALID
+        elim.check_judgment(make_judgment(j.logic, [], out.result), args.budget, "final result")
     if args.format == "json":
         print(elim.trace_to_json(out, j.logic))
     else:

@@ -37,7 +37,6 @@ from .syntax import (
     Tau,
     Term,
     Var,
-    _nodes,
     and_join,
     canonical_text,
     contains_etau,
@@ -63,6 +62,7 @@ __all__ = [
     "FailureReport",
     "bm_extract",
     "bm_stage",
+    "check_judgment",
     "combine_disjunction",
     "eliminate_complete_Gm",
     "eliminate_complete_classical",
@@ -496,7 +496,7 @@ def run_elimination(
     if DRIVERS[driver] is not None and j.logic.kind not in DRIVERS[driver]:
         raise ValueError(f"the {driver} driver does not handle logic {j.logic}")
     if verify and driver == "hb":
-        _check_judgment(j, budget, "input judgment")
+        check_judgment(j, budget, "input judgment")
     given = j
     steps: list[EliminationStep] = []
     with sharing():
@@ -537,16 +537,18 @@ def run_elimination(
                     )
     if verify:
         for st in steps:
-            _check_judgment(st.after, budget, f"after eliminating {to_text(st.target)}")
+            check_judgment(st.after, budget, f"after eliminating {to_text(st.target)}")
     if driver == "jankov":
         return EliminationTrace(tuple(steps), j.goal, ())
     sig = Signature.collect(given.goal, *given.criticals, *given.instances)
     return _finish(j, steps, sig)
 
 
-def _check_judgment(j: Judgment, budget: int, where: str) -> None:
-    if not semantics.verify_judgment(j, budget):
-        instance, counter = semantics.why_fails(j, budget)
+def check_judgment(j: Judgment, budget: int, where: str) -> None:
+    """Raise EliminationError, naming where and why, unless j holds in its logic."""
+    failure = semantics.why_fails(j, budget)
+    if failure is not None:
+        instance, counter = failure
         if instance is not None:
             where += f": instance {to_text(instance)} is not a theorem of {j.logic}"
         elif counter is not None:
@@ -703,18 +705,13 @@ def theorem_form_convert(
                 raise ValueError(
                     f"premises must have the placeholder as consequent: {to_text(pformula)}"
                 )
-            if x in or_spine(pformula.left) or _mentions(pformula.left, x):
+            if x in semantics.prop_atoms(pformula.left):
                 raise ValueError("the placeholder atom must not occur in the hypotheses")
             parts.append(pformula.left)
         big = or_join(dedup(parts))
         residues = [Implies(a, big) for a in parts]
         return make_judgment(j.logic, residues, big), None
     raise ValueError(f"unknown direction {direction!r} (use '1to3' or '2to1')")
-
-
-def _mentions(phi: Formula, atom: Formula) -> bool:
-    """Does atom occur in phi outside its terms?"""
-    return any(n == atom for n in _nodes(phi, lambda n: not isinstance(n, Atom)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Chain validity is decided by a regular (order) CNF encoding handed to the
 conflict-driven SAT solver in sat.py, whose effort is bounded by a budget
 on literal assignments.  Intuitionistic consequence is decided by a
 terminating contraction-free sequent search; KC adds weak excluded middle
-on the query's atoms.  decide is the only place a logic meets its backend:
-check, verify_judgment and the final-result check of eliminate all go
-through it.
+on the query's atoms.  Every backend takes the first-order atoms of a
+quantifier-free query, one per alpha-class, as its propositional variables.
+decide is the only place a logic meets its backend: check, and why_fails
+behind verify and eliminate's checks, go through it.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from .syntax import (
     Or,
     TOP,
     Top,
+    _nodes,
     and_join,
     is_quantifier_free,
     or_join,
     or_spine,
     sharing,
     to_text,
-    transform,
 )
 
 DEFAULT_BUDGET = 20_000_000
@@ -58,56 +59,22 @@ Valuation = dict[str, int]
 
 
 # ---------------------------------------------------------------------------
-# Propositional abstraction
-
-def _atomic_subformulas(phi: Formula, seen: dict[Formula, None]) -> None:
-    """Add phi's atoms to seen in left-to-right order (explicit stack, no recursion).
-
-    A shared node is walked once: its atoms were all seen at its first visit.
-    """
-    visited: set[int] = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if id(f) in visited:
-            continue
-        visited.add(id(f))
-        match f:
-            case Atom():
-                seen.setdefault(f)
-            case Top() | Bot():
-                pass
-            case Not(sub):
-                stack.append(sub)
-            case And(a, b) | Or(a, b) | Implies(a, b):
-                stack += (b, a)
-            case _:
-                raise ValueError(f"not quantifier-free: {to_text(f)}")
+# Atoms as propositional variables: node equality is alpha-equality, so an
+# Atom node stands for its alpha-class.  Sound for pure logics without
+# identity, where distinct atoms are independent.
 
 
-def abstract_atoms(formulas: Sequence[Formula]) -> tuple[list[Formula], dict[Formula, str]]:
-    """Map alpha-distinct atomic formulas to fresh propositional atoms.
-
-    Sound for pure logics without identity, where distinct atoms are
-    independent.  Returns abstracted copies and the atom-to-name mapping.
-    """
-    atoms: dict[Formula, None] = {}
-    for f in formulas:
-        _atomic_subformulas(f, atoms)
-    names = {a: f"p{i + 1}" for i, a in enumerate(atoms)}
-
-    def leaf(phi: Formula, depth: int) -> Formula | None:
-        return Atom(names[phi], ()) if isinstance(phi, Atom) else None
-
-    # the atom walk above already rejected every other kind of node
-    return [transform(f, leaf) for f in formulas], names
+def prop_atoms(phi: Formula) -> list[Formula]:
+    """phi's atoms in first-occurrence order, one per alpha-class."""
+    nodes = _nodes(phi, lambda n: not isinstance(n, Atom))
+    return list(dict.fromkeys(n for n in nodes if isinstance(n, Atom)))
 
 
 def _shape(phi: Formula) -> tuple:
     """phi's connectives in prefix order, with atoms numbered by first occurrence.
 
-    Two formulas have the same shape iff abstract_atoms maps them to the same
-    propositional formula, but no node is built.
+    Two formulas have the same shape iff renaming the atoms of one, alpha-class
+    for alpha-class, gives the other; so they hold in the same logics.
     """
     index: dict[Formula, int] = {}
     out: list = []
@@ -130,51 +97,43 @@ def _shape(phi: Formula) -> tuple:
     return tuple(out)
 
 
-def prop_atoms(phi: Formula) -> list[str]:
-    """Names of the propositional atoms of an already-abstracted formula."""
-    seen: dict[Formula, None] = {}
-    _atomic_subformulas(phi, seen)
-    out = []
-    for a in seen:
-        assert isinstance(a, Atom)
-        if a.args:
-            raise ValueError(f"expected a propositional atom, got {to_text(a)}")
-        out.append(a.pred)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Godel evaluation
 
 
 def eval_godel(phi: Formula, valuation: Valuation, chain: GodelChain) -> int:
-    """min/max semantics with residuated implication on the chain."""
-    top = chain.top
+    """min/max semantics with residuated implication on the chain.
+
+    The valuation is keyed by atom text, as a countervaluation is: every atom
+    takes the value of the first atom of its alpha-class in phi.
+    """
+    if not is_quantifier_free(phi):
+        raise ValueError(f"not a propositional formula: {to_text(phi)}")
+    values: dict[Formula, int] = {}
+    for a in prop_atoms(phi):
+        v = values[a] = valuation.get(to_text(a), -1)
+        if not 0 <= v <= chain.top:
+            raise ValueError(f"no value on the chain for atom {to_text(a)!r}")
+    return _godel_value(phi, values, chain.top)
+
+
+def _godel_value(phi: Formula, values: dict[Formula, int], top: int) -> int:
     match phi:
-        case Atom(name, ()):
-            try:
-                v = valuation[name]
-            except KeyError:
-                raise ValueError(f"valuation does not cover atom {name!r}") from None
-            if not 0 <= v <= top:
-                raise ValueError(f"value {v} for {name!r} is off the chain")
-            return v
+        case Atom():
+            return values[phi]
         case Top():
             return top
         case Bot():
             return 0
         case Not(sub):
-            return top if eval_godel(sub, valuation, chain) == 0 else 0
+            return top if _godel_value(sub, values, top) == 0 else 0
         case And(a, b):
-            return min(eval_godel(a, valuation, chain), eval_godel(b, valuation, chain))
+            return min(_godel_value(a, values, top), _godel_value(b, values, top))
         case Or(a, b):
-            return max(eval_godel(a, valuation, chain), eval_godel(b, valuation, chain))
+            return max(_godel_value(a, values, top), _godel_value(b, values, top))
         case Implies(a, b):
-            va = eval_godel(a, valuation, chain)
-            vb = eval_godel(b, valuation, chain)
+            va, vb = _godel_value(a, values, top), _godel_value(b, values, top)
             return top if va <= vb else vb
-        case Atom():
-            raise ValueError(f"atom with arguments is not propositional: {to_text(phi)}")
     raise ValueError(f"not a propositional formula: {to_text(phi)}")
 
 
@@ -183,7 +142,7 @@ Levels = tuple[int, ...]
 
 def _order_encode(
     phi: Formula, m: int
-) -> tuple[int, list[list[int]], dict[str, list[int]], Levels]:
+) -> tuple[int, list[list[int]], dict[Formula, list[int]], Levels]:
     """Regular CNF for phi on the m-chain (Haehnle's signed encoding).
 
     Every subformula psi gets literals x[psi, k] for k = 1..m-1 that stand
@@ -196,7 +155,7 @@ def _order_encode(
     top = m - 1
     nvars = 1
     clauses: list[list[int]] = [[1]]
-    atoms: dict[str, list[int]] = {}
+    atoms: dict[Formula, list[int]] = {}
     shared: dict[tuple, Levels] = {}
     lits_of: dict[int, Levels] = {}  # id(node) -> level literals
 
@@ -215,10 +174,10 @@ def _order_encode(
             case And(_, b) | Or(_, b) | Implies(_, b) if id(b) not in lits_of:
                 stack.append(b)
                 continue
-            case Atom(name, ()):
-                xs = atoms.get(name)
+            case Atom():
+                xs = atoms.get(f)
                 if xs is None:
-                    xs = atoms[name] = fresh()
+                    xs = atoms[f] = fresh()
                     clauses += [[-xs[k + 1], xs[k]] for k in range(top - 1)]
                 lits = tuple(xs)
             case Top():
@@ -249,8 +208,6 @@ def _order_encode(
                             clauses += [[-s * x, s * p], [-s * x, s * q], [s * x, -s * p, -s * q]]
                     hit = shared[key] = tuple(xs)
                 lits = hit
-            case Atom():
-                raise ValueError(f"expected a propositional atom, got {to_text(f)}")
             case _:
                 raise ValueError(f"not a propositional formula: {to_text(f)}")
         stack.pop()
@@ -261,7 +218,7 @@ def _order_encode(
 def valid_in_LCm(
     phi: Formula, m: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[bool, Valuation | None]:
-    """Validity on the m-valued chain; a countervaluation on failure.
+    """Validity on the m-valued chain; a countervaluation, keyed by atom text, on failure.
 
     Raises BudgetExceededError when the search needs more than `budget`
     literal assignments.
@@ -273,7 +230,7 @@ def valid_in_LCm(
     model = solve(nvars, clauses, budget)
     if model is None:
         return True, None
-    return False, {a: sum(model[x] for x in xs) for a, xs in atoms.items()}
+    return False, {to_text(a): sum(model[x] for x in xs) for a, xs in atoms.items()}
 
 
 def lc_chain_size(phi: Formula) -> int:
@@ -455,37 +412,32 @@ def decide(
 ) -> tuple[bool, Countermodel | None]:
     """Does premises |- goal hold in the logic?  The one map from logic to backend.
 
-    Atoms are abstracted first.  Classical, lcN and lc decide the one query
-    and_join(premises) -> goal, or the goal alone without premises, on the
-    2-chain, the N-chain and the chain of (atom count + 2) values; a failure
-    carries the chain size and a countervaluation keyed by the original
-    atoms.  H uses the intuitionistic prover.  KC is H plus weak excluded
-    middle ~p | ~~p for each atom p of the query: H derives ~psi | ~~psi for
+    The query's atoms are its propositional variables.  Classical, lcN and lc
+    decide the one query and_join(premises) -> goal, or the goal alone without
+    premises, on the 2-chain, the N-chain and the chain of (atom count + 2)
+    values; a failure carries the chain size and a countervaluation keyed by
+    atom text.  H uses the intuitionistic prover.  KC is H plus weak excluded
+    middle ~a | ~~a for each atom a of the query: H derives ~psi | ~~psi for
     compound psi from the instances for its atoms, and an instance over a
     foreign atom turns into one over top.  The prover gives no countermodel.
     A query that holds by the identity axiom is answered before any of this.
     """
-    formulas = [*premises, goal]
-    for f in formulas:
+    for f in (*premises, goal):
         if not is_quantifier_free(f):
             raise ValueError(f"not quantifier-free: {to_text(f)}")
     if _by_identity(premises, goal):
         return True, None
-    [*props, prop_goal], legend = abstract_atoms(formulas)
+    query = Implies(and_join(premises), goal) if premises else goal
     match logic.kind:
-        case "h" | "kc":
-            if logic.kind == "kc":
-                props += [schema("J", [name]) for name in legend.values()]  # ~p | ~~p
-            return prove_H(props, prop_goal), None
+        case "h":
+            return prove_H(premises, goal), None
+        case "kc":
+            wem = [Or(Not(a), Not(Not(a))) for a in prop_atoms(query)]
+            return prove_H([*premises, *wem], goal), None
         case "classical" | "lcm" | "lc":
-            m = 2 if logic.kind == "classical" else logic.m
-            query = Implies(and_join(props), prop_goal) if props else prop_goal
-            size = m or lc_chain_size(query)
+            size = 2 if logic.kind == "classical" else logic.m or lc_chain_size(query)
             ok, counter = valid_in_LCm(query, size, budget)
-            if ok:
-                return True, None
-            names = {name: to_text(atom) for atom, name in legend.items()}
-            return False, (size, {names[a]: v for a, v in counter.items()})
+            return ok, None if ok else (size, counter)
     raise ValueError(f"unknown logic {logic}")
 
 
@@ -501,10 +453,15 @@ def _by_identity(premises: Sequence[Formula], goal: Formula) -> bool:
     )
 
 
-def refuted_instance(
+def why_fails(
     j: Judgment, budget: int = DEFAULT_BUDGET
-) -> tuple[Formula, Countermodel | None] | None:
-    """First instance of j that its logic refutes, with countermodel; one query per atom shape."""
+) -> tuple[Formula | None, Countermodel | None] | None:
+    """None if j holds; else its first refuted instance, or None when the
+    criticals -> goal query fails, with the countermodel of that query.
+
+    Instances are decided once per shape.  A theorem is top in every Godel
+    valuation and a cut in H and KC, so certified instances leave the query.
+    """
     first_of_shape: dict[tuple, Formula] = {}
     for inst in j.instances:
         first_of_shape.setdefault(_shape(inst), inst)
@@ -512,25 +469,13 @@ def refuted_instance(
         ok, counter = decide(j.logic, [], inst, budget)
         if not ok:
             return inst, counter
-    return None
+    ok, counter = decide(j.logic, j.criticals, j.goal, budget)
+    return None if ok else (None, counter)
 
 
 def verify_judgment(j: Judgment, budget: int = DEFAULT_BUDGET) -> bool:
-    """Are j's instances theorems of its logic, and does criticals -> goal hold there?
-
-    A theorem is top in every Godel valuation and a cut in H and KC, so it leaves the query.
-    """
-    return refuted_instance(j, budget) is None and decide(j.logic, j.criticals, j.goal, budget)[0]
-
-
-def why_fails(
-    j: Judgment, budget: int = DEFAULT_BUDGET
-) -> tuple[Formula | None, Countermodel | None]:
-    """For a judgment that fails: its first refuted instance, or None when the
-    criticals -> goal query fails, with the countermodel of that query."""
-    if bad := refuted_instance(j, budget):
-        return bad
-    return None, decide(j.logic, j.criticals, j.goal, budget)[1]
+    """Are j's instances theorems of its logic, and does criticals -> goal hold there?"""
+    return why_fails(j, budget) is None
 
 
 # ---------------------------------------------------------------------------

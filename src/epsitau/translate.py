@@ -1,11 +1,12 @@
 """Quantifier elimination into epsilon/tau terms, and back-translations.
 
 et_translate replaces quantifiers by epsilon/tau terms, innermost first.
-shadow collapses a formula to its propositional skeleton.  herbrand_form
-computes the purely existential form of a prenex formula.  The quantifier
-shift schemas come in two tables: those whose translations *are* critical
-formulas, and those provable from one critical formula by modus ponens with
-an intuitionistic principle.
+shadow collapses a formula to its propositional skeleton.  Both rebuild
+through syntax.transform and recurse only into nested quantifiers.
+herbrand_form computes the purely existential form of a prenex formula.
+The quantifier shift schemas come in two tables: those whose translations
+*are* critical formulas, and those provable from one critical formula by
+modus ponens with an intuitionistic principle.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .syntax import (
     subst_var,
     tau,
     to_text,
+    transform,
 )
 
 
@@ -51,48 +53,40 @@ def et_translate(phi: Formula) -> Formula:
     """
     if contains_etau(phi):
         raise ValueError(f"already contains epsilon/tau terms: {to_text(phi)}")
-    return _et(phi)
+    return transform(phi, _et_leaf)
 
 
-def _et(phi: Formula) -> Formula:
-    match phi:
-        case Atom() | Top() | Bot():
-            return phi
-        case Not(sub):
-            return Not(_et(sub))
-        case And(a, b):
-            return And(_et(a), _et(b))
-        case Or(a, b):
-            return Or(_et(a), _et(b))
+def _et_leaf(node: Formula, depth: int) -> Formula | None:
+    match node:
         case Exists(hint, body):
-            tb = _et(body)
+            tb = et_translate(body)
             return instantiate(tb, Eps(hint, tb))
         case Forall(hint, body):
-            tb = _et(body)
+            tb = et_translate(body)
             return instantiate(tb, Tau(hint, tb))
-        case Implies(a, b):
-            return Implies(_et(a), _et(b))
-    raise ValueError(f"not a formula: {phi!r}")
+        case Atom() | Top() | Bot():
+            return node
+        case Not() | And() | Or() | Implies():
+            return None
+    raise ValueError(f"not a formula: {node!r}")
 
 
 def shadow(phi: Formula) -> Formula:
     """The propositional image: atoms keep only their predicate, binders vanish."""
-    match phi:
+    return transform(phi, _shadow_leaf)
+
+
+def _shadow_leaf(node: Formula, depth: int) -> Formula | None:
+    match node:
         case Atom(pred, _):
             return Atom(pred, ())
-        case Top() | Bot():
-            return phi
-        case Not(sub):
-            return Not(shadow(sub))
-        case And(a, b):
-            return And(shadow(a), shadow(b))
-        case Or(a, b):
-            return Or(shadow(a), shadow(b))
-        case Implies(a, b):
-            return Implies(shadow(a), shadow(b))
         case Forall(_, body) | Exists(_, body):
             return shadow(body)
-    raise ValueError(f"not a formula: {phi!r}")
+        case Top() | Bot():
+            return node
+        case Not() | And() | Or() | Implies():
+            return None
+    raise ValueError(f"not a formula: {node!r}")
 
 
 def herbrand_form(phi: Formula, signature: Signature | None = None) -> Formula:

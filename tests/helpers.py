@@ -4,7 +4,8 @@ The oracles here deliberately avoid the package's semantics module: the
 truth-table checker works on Python bools, the Godel evaluator is a direct
 dict-based recursion, the two-element model checker interprets first-order
 formulas by brute force, the Kripke checker forces formulas in every
-small rooted model, and the schema matchers compare shapes structurally.
+small rooted model, the schema matchers compare shapes structurally, and
+the atom renaming tells alpha-classes apart by their printed form.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ from epsitau.syntax import (
     Top,
     Var,
     abstract_var,
+    canonical_text,
     instantiate,
     or_spine,
     subterms,
+    to_text,
 )
 
 
@@ -486,30 +489,60 @@ def _all_terms(phi) -> set:
 
 
 def random_prop_formula(rng: random.Random, depth: int, atoms: list[str]) -> Formula:
+    return random_qf_formula(rng, depth, [Atom(a, ()) for a in atoms])
+
+
+def random_qf_formula(rng: random.Random, depth: int, atoms: list[Formula]) -> Formula:
+    """A random quantifier-free formula over the given atoms."""
     if depth == 0 or rng.random() < 0.3:
-        return Atom(rng.choice(atoms), ())
+        return rng.choice(atoms)
     match rng.choice(["not", "and", "or", "imp", "top", "bot"]):
         case "not":
-            return Not(random_prop_formula(rng, depth - 1, atoms))
+            return Not(random_qf_formula(rng, depth - 1, atoms))
         case "and":
             return And(
-                random_prop_formula(rng, depth - 1, atoms),
-                random_prop_formula(rng, depth - 1, atoms),
+                random_qf_formula(rng, depth - 1, atoms),
+                random_qf_formula(rng, depth - 1, atoms),
             )
         case "or":
             return Or(
-                random_prop_formula(rng, depth - 1, atoms),
-                random_prop_formula(rng, depth - 1, atoms),
+                random_qf_formula(rng, depth - 1, atoms),
+                random_qf_formula(rng, depth - 1, atoms),
             )
         case "imp":
             return Implies(
-                random_prop_formula(rng, depth - 1, atoms),
-                random_prop_formula(rng, depth - 1, atoms),
+                random_qf_formula(rng, depth - 1, atoms),
+                random_qf_formula(rng, depth - 1, atoms),
             )
         case "top":
             return Top()
         case _:
             return Bot()
+
+
+def letter_atoms(formulas: list[Formula]) -> tuple[list[Formula], dict[str, str]]:
+    """Rename each alpha-class of atoms to a letter A, B, ..., in order of first
+    occurrence; the alpha-class of an atom is its hint-independent rendering.
+    Returns the renamed formulas and, per letter, the text of the first atom
+    of its class."""
+    letters: dict[str, str] = {}
+    texts: dict[str, str] = {}
+
+    def walk(phi: Formula) -> Formula:
+        match phi:
+            case Atom():
+                key = canonical_text(phi)
+                if key not in letters:
+                    letters[key] = chr(ord("A") + len(letters))
+                    texts[letters[key]] = to_text(phi)
+                return Atom(letters[key], ())
+            case Not(sub):
+                return Not(walk(sub))
+            case And(a, b) | Or(a, b) | Implies(a, b):
+                return type(phi)(walk(a), walk(b))
+        return phi
+
+    return [walk(f) for f in formulas], texts
 
 
 def random_classical_judgment(rng: random.Random, logic=CLASSICAL):

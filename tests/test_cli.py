@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from epsitau import semantics
 from epsitau.cli import main
 
 from helpers import refutes, weak_lin_negative_judgment
@@ -224,3 +225,28 @@ def test_verify_prints_countervaluation_of_failed_query(tmp_path, capsys):
     assert code == 1
     assert err.startswith("verification failed: input judgment: countervaluation on the 2-chain: {")
     assert "'B': 0" in err
+
+
+def test_verify_decides_a_failing_judgment_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    decide = semantics.decide
+
+    def counting_decide(*args, **kwargs):
+        calls.append(args)
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(semantics, "decide", counting_decide)
+    path = tmp_path / "chain.judgment"
+    path.write_text("logic: lc4\ngoal: (A1 -> A2) | (A2 -> A3) | (A3 -> A4)\n")
+    code, _, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1 and len(calls) == 1
+
+
+def test_eliminate_verify_full_reports_countervaluation_of_result(tmp_path, capsys):
+    path = tmp_path / "b.judgment"
+    path.write_text("logic: classical\ncritical: B\ngoal: B\n")
+    code, out, err = run_cli(capsys, "eliminate", str(path), "--verify", "full")
+    assert code == 1 and out == ""
+    assert err == "verification failed: final result: countervaluation on the 2-chain: {'B': 0}\n"
+    code, out, _ = run_cli(capsys, "eliminate", str(path), "--verify", "steps")
+    assert code == 0 and out.splitlines()[-1] == "result: B"

@@ -9,7 +9,6 @@ from epsitau import semantics
 from epsitau.semantics import (
     BudgetExceededError,
     GodelChain,
-    abstract_atoms,
     counterexample_Bm,
     decide,
     eval_godel,
@@ -22,7 +21,7 @@ from epsitau.semantics import (
     valid_in_LCm,
     verify_judgment,
 )
-from epsitau.syntax import And, Atom, Bot, Implies, Not, Or, Top, or_join
+from epsitau.syntax import And, Atom, Bot, Implies, Not, Or, Top, and_join, or_join
 
 from helpers import (
     godel_oracle,
@@ -32,7 +31,9 @@ from helpers import (
     is_lin_instance,
     is_weak_em_instance,
     kripke_valid,
+    letter_atoms,
     random_prop_formula,
+    random_qf_formula,
     refutes,
     taut_oracle,
 )
@@ -328,11 +329,39 @@ def test_verify_judgment_lc_and_lcm():
     assert not verify_judgment(make_judgment(lcm(4), [], schema("Bm", n=3)))
 
 
-def test_abstract_atoms_injective_on_alpha_classes():
-    fs = [pf("P(eps x. P(x))"), pf("P(eps y. P(y))"), pf("P(c)")]
-    abstracted, names = abstract_atoms(fs)
-    assert abstracted[0] == abstracted[1] != abstracted[2]
-    assert len(names) == 2
+def test_decide_atoms_injective_on_alpha_classes():
+    # alpha-equal atoms are one propositional variable, other atoms another
+    assert decide(CLASSICAL, [], pf("P(eps x. P(x)) | ~P(eps y. P(y))")) == (True, None)
+    assert not decide(CLASSICAL, [], pf("P(eps x. P(x)) | ~P(c)"))[0]
+    assert decide(H, [pf("P(eps x. P(x)) & Q")], pf("P(eps y. P(y))")) == (True, None)
+    ok, (size, counter) = decide(LC, [], pf("P(eps x. P(x)) | P(eps y. P(y)) | P(c)"))
+    assert not ok and size == 4 and list(counter) == ["P(eps x. P(x))", "P(c)"]
+
+
+def test_decide_on_first_order_atoms_agrees_with_letters():
+    # oracle: the same query with each alpha-class of atoms renamed to a letter
+    atoms = [pf(a) for a in ("P(c1)", "P(c2)", "P(c3)", "P(eps x. Q(x))", "P(eps y. Q(y))")]
+    rng = random.Random(13)
+    logics = [CLASSICAL, lcm(2), lcm(3), lcm(4), LC]
+    refuted = 0
+    for _ in range(120):
+        premises = [random_qf_formula(rng, 2, atoms) for _ in range(rng.randrange(3))]
+        goal = random_qf_formula(rng, 3, atoms)
+        [*letter_premises, letter_goal], texts = letter_atoms([*premises, goal])
+        query = Implies(and_join(premises), goal) if premises else goal
+        for logic in logics:
+            ok, counter = decide(logic, premises, goal)
+            letter_ok, letter_counter = decide(logic, letter_premises, letter_goal)
+            assert ok == letter_ok, (logic, query)
+            if ok:
+                continue
+            size, valuation = counter
+            assert eval_godel(query, valuation, GodelChain(size)) < size - 1
+            assert counter == (letter_counter[0], {texts[a]: v for a, v in letter_counter[1].items()})
+            refuted += 1
+        for logic in (H, KC):
+            assert decide(logic, premises, goal)[0] == decide(logic, letter_premises, letter_goal)[0]
+    assert refuted >= 100
 
 
 # ---------------------------------------------------------------------------

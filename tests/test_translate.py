@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -16,6 +17,8 @@ from epsitau.syntax import (
     eps,
     free_vars,
     is_quantifier_free,
+    or_join,
+    or_spine,
     subst_var,
     tau,
 )
@@ -127,6 +130,16 @@ def test_shadow_of_all_table_shifts_is_self_implication():
         s = shadow(si.shift)
         assert isinstance(s, Implies) and s.left == s.right
         assert prove_H([], shadow(si.translation))
+
+
+def test_translate_and_shadow_of_a_long_disjunction():
+    # both walk the connectives with an explicit stack and recurse only into
+    # nested quantifiers, so the default recursion limit is enough
+    assert sys.getrecursionlimit() <= 1000
+    phi = or_join([pf(f"ex x. P(x, c{i})") for i in range(3000)])
+    parts = or_spine(et_translate(phi))
+    assert len(parts) == 3000 and parts[-1] == pf("P(eps x. P(x, c2999), c2999)")
+    assert or_spine(shadow(phi)) == [pf("P")] * 3000
 
 
 # ---------------------------------------------------------------------------
