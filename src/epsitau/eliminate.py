@@ -2,9 +2,10 @@
 
 Each elimination replaces one epsilon/tau term by a set of terms, disjoining
 the goal over the set and substituting through the remaining premises, at
-the cost of recording instances of the logic's characteristic schema.  The
-driver iterates over terms of maximal degree among those of maximal rank,
-which makes the (rank, degree, count) measure decrease and the process stop.
+the cost of recording instances of the logic's characteristic schema; the
+judgment after a step lists only these.  The driver takes terms of maximal
+degree among those of maximal rank first, so the (rank, degree, count)
+measure decreases and the process stops.
 """
 
 from __future__ import annotations
@@ -164,10 +165,6 @@ def _expand(goal: Formula, e: Term, terms: Sequence[Term]) -> tuple[Formula, int
     return or_join(dedup(parts)), len(parts)
 
 
-def _subst_set(formulas: Sequence[Formula], e: Term, terms: Sequence[Term]) -> list[Formula]:
-    return [subst_term(f, e, t) for t in terms for f in formulas]
-
-
 def _at(e: Term, t: Term) -> Formula:
     """The matrix of e instantiated at t."""
     return instantiate(e.body, t)
@@ -193,8 +190,8 @@ def _step(
     kept as premises unchanged; an e with nothing to eliminate is rejected.
     ``schema`` maps the witnesses w of the eliminated readings and their
     atoms A(w) to the elimination set and the schema instances recorded.
-    The goal is disjoined over the set, and the premises and instances that
-    are not readings at e are substituted across it.
+    The goal is disjoined over the set, and the premises that are not
+    readings at e are substituted across it; earlier instances are dropped.
     """
     readings = judgment_readings(j).get(e, [])
     taken = [(f, r) for f, r in readings if take(r)]
@@ -206,13 +203,13 @@ def _step(
     rest = [f for f in j.criticals if f not in at_e]
     kept = [f for f, r in readings if not take(r)]
     goal, raw = _expand(j.goal, e, elim_set)
-    instances = dedup(_subst_set(j.instances, e, elim_set) + list(new_instances))
-    criticals = dedup(_subst_set(rest, e, elim_set) + kept)
+    criticals = dedup([subst_term(f, e, t) for t in elim_set for f in rest] + kept)
+    instances = tuple(new_instances)
     return EliminationStep(
         target=e,
         eliminated=tuple(f for f, _ in taken),
         elimination_set=tuple(elim_set),
-        axiom_instances_used=tuple(new_instances),
+        axiom_instances_used=instances,
         before=j,
         after=Judgment(j.logic, criticals, instances, goal),
         raw_disjunct_count=raw,
@@ -485,17 +482,17 @@ def run_elimination(
       middle; the goal after it is the result, left ungrounded.
 
     Residual terms in an hb or weak-lin result become fresh constants, one
-    per alpha-class.  With ``verify`` the backend checks the judgment after
-    every step (for hb the input first) once the loop ends, so a run that
-    ends in a failure report sends no query; a failed check raises
-    EliminationError.  The loop builds its nodes in one sharing scope, closed
-    before the checks.
+    per alpha-class.  With ``verify`` the backend checks the input, then the
+    judgment after every step once the loop ends: each instance is certified
+    once, where it enters, and a run ending in a failure report sends only
+    the input query.  A failed check raises EliminationError.  The loop
+    builds its nodes in one sharing scope, closed before the checks.
     """
     if driver not in DRIVERS:
         raise ValueError(f"unknown driver {driver!r} (use {', '.join(DRIVERS)})")
     if DRIVERS[driver] is not None and j.logic.kind not in DRIVERS[driver]:
         raise ValueError(f"the {driver} driver does not handle logic {j.logic}")
-    if verify and driver == "hb":
+    if verify:
         check_judgment(j, budget, "input judgment")
     given = j
     steps: list[EliminationStep] = []

@@ -4,6 +4,7 @@ A Judgment is the claim "criticals, axiom instances |- goal" in a tagged
 propositional logic, over quantifier-free formulas; each axiom instance
 must be a theorem of the logic.  The criticals slot may hold substitution
 residues that are no longer critical formulas; they are simply premises.
+After an elimination step, the instances are those the step records.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from .syntax import (
     or_spine,
     sharing,
     to_text,
+    transform,
 )
 
 DEFAULT_BUDGET = 20_000_000
@@ -317,18 +318,16 @@ def schema(kind: str, atoms: Sequence[str] | None = None, n: int | None = None) 
 
 
 def _norm(phi: Formula) -> Formula:
-    """Rewrite ~A to A -> bot so the prover handles one implication form."""
-    match phi:
-        case Not(sub):
-            return Implies(_norm(sub), BOT)
-        case And(a, b):
-            return And(_norm(a), _norm(b))
-        case Or(a, b):
-            return Or(_norm(a), _norm(b))
-        case Implies(a, b):
-            return Implies(_norm(a), _norm(b))
-        case _:
-            return phi
+    """Rewrite ~A to A -> bot, the prover's one negation form; recurses only into nested ~."""
+
+    def leaf(node, depth):
+        if isinstance(node, Not):
+            return Implies(_norm(node.sub), BOT)
+        if isinstance(node, Atom):  # interned, so equal formulas end up with the same kids
+            return Atom(node.pred, node.args)
+        return None if isinstance(node, (And, Or, Implies)) else node
+
+    return transform(phi, leaf)
 
 
 # Memo of one top-level query; prove_H empties it when the query returns.
@@ -345,21 +344,19 @@ def _prove(gamma: frozenset[Formula], goal: Formula) -> bool:
     # Invertible left rules: the first that applies decides the sequent.
     for f in gamma:
         match f:
-            case Top():
+            case Top() | Implies(Bot(), _):
                 result = _prove(gamma - {f}, goal)
             case And(a, b):
                 result = _prove(gamma - {f} | {a, b}, goal)
-            case Or(a, b):
+            case Or():
                 rest = gamma - {f}
-                result = _prove(rest | {a}, goal) and _prove(rest | {b}, goal)
+                result = all(_prove(rest | {d}, goal) for d in or_spine(f))
             case Implies(Top(), b):
                 result = _prove(gamma - {f} | {b}, goal)
-            case Implies(Bot(), _):
-                result = _prove(gamma - {f}, goal)
             case Implies(And(c, d), b):
                 result = _prove(gamma - {f} | {Implies(c, Implies(d, b))}, goal)
-            case Implies(Or(c, d), b):
-                result = _prove(gamma - {f} | {Implies(c, b), Implies(d, b)}, goal)
+            case Implies(Or() as c, b):
+                result = _prove(gamma - {f} | {Implies(d, b) for d in or_spine(c)}, goal)
             case Implies(Atom() as p, b) if p in gamma:
                 result = _prove(gamma - {f} | {b}, goal)
             case _:
@@ -374,9 +371,7 @@ def _prove(gamma: frozenset[Formula], goal: Formula) -> bool:
                 result = _prove(gamma | {a}, b)
             # Branch points: right disjunction and implication-antecedent implications.
             case _:
-                result = isinstance(goal, Or) and (
-                    _prove(gamma, goal.left) or _prove(gamma, goal.right)
-                )
+                result = isinstance(goal, Or) and any(_prove(gamma, d) for d in or_spine(goal))
                 for f in gamma:
                     if result:
                         break

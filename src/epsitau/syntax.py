@@ -46,11 +46,6 @@ _NO_VARS: frozenset[str] = frozenset()
 # value is the node itself, or a tuple of alpha-equal nodes whose binder
 # names differ.
 _table: dict | None = None
-# The latest subst_term call of the open scope: (e, s, memo, roots).  A call
-# with the same e and s continues the memo, so substituting one term through
-# many formulas rewrites each shared node once; roots keeps the memo's keys
-# (node ids) alive.
-_last_subst: tuple | None = None
 
 
 class _Node:
@@ -356,7 +351,7 @@ def _equal(a: _Node, b: _Node, names: bool = False) -> bool:
 @contextmanager
 def sharing() -> Iterator[None]:
     """Hash-cons the nodes built inside; the outermost scope drops the table."""
-    global _table, _last_subst
+    global _table
     if _table is not None:
         yield
         return
@@ -364,7 +359,7 @@ def sharing() -> Iterator[None]:
     try:
         yield
     finally:
-        _table = _last_subst = None
+        _table = None
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +385,15 @@ def _nodes(obj: Obj, descend: Callable[[_Node], object] | None = None) -> Iterat
             stack += reversed(node._kids())
 
 
-def transform(
-    obj: Obj, leaf: Callable[[_Node, int], Obj | None], done: dict | None = None
-) -> Obj:
+def transform(obj: Obj, leaf: Callable[[_Node, int], Obj | None]) -> Obj:
     """Rebuild obj bottom-up through an explicit stack.
 
     ``leaf(node, depth)`` is node's replacement, or None to rebuild node from
     its rewritten children; depth counts the binders between obj and node.
-    Each distinct (node, depth) is rewritten once, and a node whose children
-    all come back unchanged is kept.  ``done`` holds the rewritten nodes, by
-    id(node) at depth 0 and by (id(node), depth) below binders; a caller may
-    pass the one of an earlier call with the same leaf.
+    Each distinct (node, depth) is rewritten once in a call, and a node whose
+    children all come back unchanged is kept.
     """
-    if done is None:
-        done = {}
+    done: dict = {}  # id(node) at depth 0, (id(node), depth) below binders
     stack = [(obj, 0, False)]
     while stack:
         node, depth, ready = stack.pop()
@@ -582,7 +572,6 @@ def subst_term(obj: Obj, e: Term, s: Term) -> Obj:
     captures a variable of e differ structurally from e after index shifting
     and are left alone.  A node that cannot hold e is returned as it is.
     """
-    global _last_subst
     may_hold = _may_hold(e)
 
     def leaf(node, depth):
@@ -592,14 +581,7 @@ def subst_term(obj: Obj, e: Term, s: Term) -> Obj:
             return s
         return None
 
-    done = None
-    if _table is not None:
-        last = _last_subst
-        if last is None or last[0] is not e or last[1] is not s:
-            last = _last_subst = (e, s, {}, [])
-        done = last[2]
-        last[3].append(obj)
-    return transform(obj, leaf, done)
+    return transform(obj, leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -250,3 +250,22 @@ def test_eliminate_verify_full_reports_countervaluation_of_result(tmp_path, caps
     assert err == "verification failed: final result: countervaluation on the 2-chain: {'B': 0}\n"
     code, out, _ = run_cli(capsys, "eliminate", str(path), "--verify", "steps")
     assert code == 0 and out.splitlines()[-1] == "result: B"
+
+
+@pytest.mark.parametrize(
+    "driver, logic, instance",
+    [("weak-lin", "lc", "P | ~P"), ("jankov", "kc", "(P -> Q) | (Q -> P)")],
+)
+def test_eliminate_checks_input_instances_on_every_driver(tmp_path, capsys, driver, logic, instance):
+    # an instance given in the input is certified by the input check, since
+    # no later step carries it
+    path = tmp_path / "refuted.judgment"
+    path.write_text(
+        f"logic: {logic}\n"
+        "critical: A(u) -> A(eps x. A(x))\n"
+        f"instance: {instance}\n"
+        "goal: ~~(A(u) -> A(eps x. A(x)))\n"
+    )
+    code, out, err = run_cli(capsys, "eliminate", str(path), "--driver", driver, "--verify", "steps")
+    assert code == 1 and out == ""
+    assert err == f"verification failed: input judgment: instance {instance} is not a theorem of {logic}\n"

@@ -43,6 +43,7 @@ from helpers import (
     is_implication_chain,
     is_weak_em_instance,
     lc3_worked_judgment,
+    letter_atoms,
     random_classical_judgment,
     taut_oracle,
     weak_lin_negative_judgment,
@@ -753,3 +754,45 @@ def test_repeated_runs_leave_no_state_behind():
     first = live_after_run(lambda: grid_judgment("lc3", 3))
     second = live_after_run(chain_witness_judgment)
     assert second[0] <= first[0] and second[1] <= first[1]
+
+
+# ---------------------------------------------------------------------------
+# Each instance enters the run once
+
+
+def _multi_step_runs():
+    yield lc3_worked_judgment()
+    yield chain_witness_judgment()
+    for logic in ("lc3", "lc4"):
+        for k in (1, 2):
+            yield grid_judgment(logic, k)
+    rng = random.Random(77)
+    for logic in (CLASSICAL, lcm(2), lcm(3), lcm(4)):
+        for _ in range(6):
+            yield random_classical_judgment(rng, logic)
+
+
+def test_after_judgment_holds_only_its_step_instances():
+    # the copies of earlier instances substituted through later elimination
+    # sets are not carried: each is a theorem already, since substituting
+    # one term for another sends atoms to atoms; the oracle re-checks them
+    checked, copies = set(), 0
+    for j in _multi_step_runs():
+        steps = run_elimination(j).steps
+        size = j.logic.m or 2
+        for i, st in enumerate(steps):
+            assert st.after.instances == st.axiom_instances_used
+            carried = list(st.axiom_instances_used)
+            for later in steps[i + 1 :]:
+                carried = [
+                    syntax.subst_term(f, later.target, t)
+                    for t in later.elimination_set
+                    for f in carried
+                ]
+                copies += sum(f not in st.axiom_instances_used for f in carried)
+                for f in carried:
+                    [letters], _ = letter_atoms([f])
+                    if (letters, size) not in checked:
+                        checked.add((letters, size))
+                        assert godel_oracle(letters, size), (j.logic, to_text(f))
+    assert copies > 100 and len(checked) > 10

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -410,3 +411,32 @@ def test_identity_axiom_needs_no_backend():
         assert semantics.decide(logic, [], pf("B | top"), budget=0) == (True, None)
     with pytest.raises(semantics.BudgetExceededError):
         semantics.decide(CLASSICAL, [], pf("(A -> B) | B"), budget=0)
+
+
+def test_prover_takes_a_disjunction_in_one_rule_application():
+    # the Or rules range over the whole disjunction, so a long one needs no
+    # recursion per disjunct at the default recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    n = 3000
+    qs = [Atom(f"Q{i}", ()) for i in range(n)]
+    p, r = Atom("P", ()), Atom("R", ())
+    goal = or_join([Implies(p, q) for q in qs])
+    assert decide(H, [qs[7]], goal) == (True, None)
+    assert decide(H, [or_join(qs)], pf("S -> T")) == (False, None)
+    assert decide(H, [Implies(or_join(qs), r)], Implies(qs[5], r)) == (True, None)
+
+
+def test_h_kc_agree_with_kripke_models_on_wide_disjunctions():
+    rng = random.Random(47)
+    atoms = ["A", "B"]
+    answers = set()
+    for _ in range(50):
+        parts = [random_prop_formula(rng, 2, atoms) for _ in range(rng.randint(3, 4))]
+        wide = or_join(parts) if rng.random() < 0.5 else Or(Or(parts[0], parts[1]), or_join(parts[2:]))
+        h = random_prop_formula(rng, 2, atoms)
+        for phi in (wide, Implies(wide, h), Implies(Implies(wide, h), h)):
+            in_h = decide(H, [], phi)[0]
+            assert in_h == kripke_valid(phi, "h"), phi
+            assert decide(KC, [], phi)[0] == kripke_valid(phi, "kc"), phi
+            answers.add(in_h)
+    assert answers == {True, False}
