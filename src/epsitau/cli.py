@@ -110,8 +110,11 @@ def cmd_eliminate(args) -> int:
         }
         _emit(args, payload, [str(out)])
         return EXIT_INVALID
-    # a jankov run is one step, so its result may keep other critical formulas
-    if args.verify == "full" and args.driver != "jankov":
+    # a jankov run is one step, so its result may keep other critical formulas;
+    # a result that is the last checked judgment's query was decided already
+    last = out.final or j
+    decided = not last.criticals and last.goal == out.result
+    if args.verify == "full" and args.driver != "jankov" and not decided:
         elim.check_judgment(make_judgment(j.logic, [], out.result), args.budget, "final result")
     if args.format == "json":
         print(elim.trace_to_json(out, j.logic))

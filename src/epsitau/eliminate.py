@@ -33,12 +33,9 @@ from .syntax import (
     Formula,
     Implies,
     Not,
-    Or,
     Signature,
-    Tau,
     Term,
     Var,
-    and_join,
     canonical_text,
     contains_etau,
     dedup,
@@ -181,7 +178,9 @@ def _impredicative(pairs: list[tuple[Formula, CriticalFormula]]) -> list[Formula
 def _step(
     j: Judgment,
     e: Term,
-    schema: Callable[[list[Term], list[Formula]], tuple[Sequence[Term], Sequence[Formula]]],
+    kind: str,
+    refusal: str,
+    schema: Callable[[list[Term], list[Formula]], tuple[Sequence[Term], int, list[list[Formula]]]],
     take: Callable[[CriticalFormula], bool] = lambda r: True,
 ) -> EliminationStep:
     """The elimination skeleton every step constructor is built on.
@@ -189,22 +188,29 @@ def _step(
     The readings at e are split into those to eliminate (``take``) and those
     kept as premises unchanged; an e with nothing to eliminate is rejected.
     ``schema`` maps the witnesses w of the eliminated readings and their
-    atoms A(w) to the elimination set and the schema instances recorded.
-    The goal is disjoined over the set, and the premises that are not
-    readings at e are substituted across it; earlier instances are dropped.
+    atoms A(w) to the elimination set, an arity and the atom lists of the
+    instances to record.  Each instance is semantics.schema(kind, atoms)
+    at that arity, with e's polarity, and is certified where it is built,
+    by the row semantics.proves(logic, kind, arity) of the schema table; a
+    logic the row refuses raises ValueError(refusal).  The goal is disjoined
+    over the set, and the premises that are not readings at e are
+    substituted across it; earlier instances are dropped.
     """
     readings = judgment_readings(j).get(e, [])
     taken = [(f, r) for f, r in readings if take(r)]
     if not taken:
         raise ValueError(f"no critical formulas of {to_text(e)} to eliminate")
     ws = _witnesses(taken)
-    elim_set, new_instances = schema(ws, [_at(e, w) for w in ws])
+    elim_set, arity, atom_lists = schema(ws, [_at(e, w) for w in ws])
+    if not semantics.proves(j.logic, kind, arity):
+        raise ValueError(refusal)
+    polarity = "eps" if isinstance(e, Eps) else "tau"
+    instances = dedup(semantics.schema(kind, xs, arity, polarity) for xs in atom_lists)
     at_e = {f for f, _ in readings}
     rest = [f for f in j.criticals if f not in at_e]
     kept = [f for f, r in readings if not take(r)]
     goal, raw = _expand(j.goal, e, elim_set)
     criticals = dedup([subst_term(f, e, t) for t in elim_set for f in rest] + kept)
-    instances = tuple(new_instances)
     return EliminationStep(
         target=e,
         eliminated=tuple(f for f, _ in taken),
@@ -269,52 +275,25 @@ def eliminate_single_classical(j: Judgment, c: CriticalFormula) -> EliminationSt
     The elimination set is {e, s}; the other critical formulas of e are kept
     unsubstituted, the rest doubled across the set.
     """
-    if j.logic.kind != "classical":
-        raise ValueError("single elimination via excluded middle needs classical logic")
     if c.rendered not in j.criticals:
         raise ValueError(f"not a premise: {to_text(c.rendered)}")
     e = c.critical_term
-
-    def schema(ws, pos):
-        [a_s] = pos
-        instance = Or(a_s, Not(a_s)) if c.kind == "eps" else Or(Not(a_s), a_s)
-        return dedup([e] + ws), [instance]
-
-    return _step(j, e, schema, take=lambda r: r == c)
+    refusal = "single elimination via excluded middle needs classical logic"
+    return _step(j, e, "EM", refusal, lambda ws, pos: (dedup([e] + ws), 1, [pos]), lambda r: r == c)
 
 
 def eliminate_complete_classical(j: Judgment, e: Term) -> EliminationStep:
     """Remove all critical formulas of e at once; at most k+1 goal disjuncts."""
-    if j.logic.kind != "classical":
-        raise ValueError("complete classical elimination needs classical logic")
-
-    def schema(ws, pos):
-        if isinstance(e, Eps):
-            instance = or_join(pos + [and_join([Not(p) for p in pos])])
-        else:
-            instance = or_join([and_join(pos)] + [Not(p) for p in pos])
-        return dedup([e] + ws), [instance]
-
-    return _step(j, e, schema)
+    refusal = "complete classical elimination needs classical logic"
+    return _step(j, e, "EM", refusal, lambda ws, pos: (dedup([e] + ws), len(pos), [pos]))
 
 
 def eliminate_negated_jankov(j: Judgment, e: Term) -> EliminationStep:
     """Complete elimination for a negated goal, from weak excluded middle."""
-    if j.logic.kind not in ("kc", "lc", "lcm", "classical"):
-        raise ValueError(f"logic {j.logic} does not prove weak excluded middle")
     if not isinstance(j.goal, Not):
         raise ValueError("the goal must be a negation")
-
-    def schema(ws, pos):
-        negs = [Not(p) for p in pos]
-        dnegs = [Not(Not(p)) for p in pos]
-        if isinstance(e, Eps):
-            instance = Or(and_join(negs), or_join(dnegs))
-        else:
-            instance = Or(and_join(dnegs), or_join(negs))
-        return dedup([e] + ws), [instance]
-
-    return _step(j, e, schema)
+    refusal = f"logic {j.logic} does not prove weak excluded middle"
+    return _step(j, e, "J", refusal, lambda ws, pos: (dedup([e] + ws), len(pos), [pos]))
 
 
 def eliminate_predicative_lin(j: Judgment, e: Term) -> EliminationStep:
@@ -323,20 +302,11 @@ def eliminate_predicative_lin(j: Judgment, e: Term) -> EliminationStep:
     The elimination set is exactly the witness list; the recorded instance is
     the valid disjunction over j of the conjunctions of A(u_i) -> A(u_j).
     """
-    if not j.logic.proves_lin:
-        raise ValueError(f"logic {j.logic} does not prove linearity")
     bad = _impredicative(judgment_readings(j).get(e, []))
     if bad:
         raise ValueError(f"impredicative critical formula for {to_text(e)}: {to_text(bad[0])}")
-
-    def schema(ws, pos):
-        if isinstance(e, Eps):
-            instance = or_join([and_join([Implies(pi, pj) for pi in pos]) for pj in pos])
-        else:
-            instance = or_join([and_join([Implies(pj, pi) for pi in pos]) for pj in pos])
-        return ws, [instance]
-
-    return _step(j, e, schema)
+    refusal = f"logic {j.logic} does not prove linearity"
+    return _step(j, e, "bigdisj", refusal, lambda ws, pos: (ws, len(pos), [pos]))
 
 
 def _words(e: Term, contexts: Sequence[Term], n: int) -> dict[tuple[Term, ...], Term]:
@@ -364,17 +334,6 @@ def _word_paths(words: dict[tuple[Term, ...], Formula], length: int) -> list[lis
     ]
 
 
-def _word_atoms(e: Term, words: dict[tuple[Term, ...], Term]) -> dict[tuple[Term, ...], Formula]:
-    """A(w e) for each word w."""
-    return {w: _at(e, t) for w, t in words.items()}
-
-
-def _chain(e: Term, atoms: Sequence[Formula]) -> Formula:
-    """The links between consecutive atoms, in reverse for a tau term."""
-    atoms = list(reversed(atoms) if isinstance(e, Tau) else atoms)
-    return or_join([Implies(a, b) for a, b in zip(atoms, atoms[1:])])
-
-
 def eliminate_impredicative_Bm(j: Judgment, e: Term, m: int) -> EliminationStep:
     """Eliminate the impredicative critical formulas of e using the m-link chains.
 
@@ -385,20 +344,18 @@ def eliminate_impredicative_Bm(j: Judgment, e: Term, m: int) -> EliminationStep:
     """
     if m < 2:
         raise ValueError("chain elimination needs m >= 2")
-    if j.logic.bm_level is None or j.logic.bm_level > m:
-        raise ValueError(f"logic {j.logic} does not prove the {m}-link chain schema")
     readings = judgment_readings(j).get(e, [])
     pred_ws = _witnesses([(f, r) for f, r in readings if is_predicative(r)])
 
     def schema(ws, pos):
         words = _words(e, sorted(ws, key=canonical_text), m)
-        atoms = _word_atoms(e, words)
+        atoms = {w: _at(e, t) for w, t in words.items()}  # A(w e) for each word w
         firsts = [_at(e, u) for u in pred_ws]
-        instances = [_chain(e, path) for path in _word_paths(atoms, m)]
-        instances += [_chain(e, [a] + p) for p in _word_paths(atoms, m - 1) for a in firsts]
-        return _words_below(words, m), dedup(instances)
+        paths = _word_paths(atoms, m) + [[a] + p for p in _word_paths(atoms, m - 1) for a in firsts]
+        return _words_below(words, m), m, paths
 
-    return _step(j, e, schema, take=lambda r: not is_predicative(r))
+    refusal = f"logic {j.logic} does not prove the {m}-link chain schema"
+    return _step(j, e, "Bm", refusal, schema, take=lambda r: not is_predicative(r))
 
 
 def bm_stage(j: Judgment, e: Term, i: int) -> tuple[Formula, list[Formula]]:
@@ -411,7 +368,8 @@ def bm_stage(j: Judgment, e: Term, i: int) -> tuple[Formula, list[Formula]]:
     impred = [(f, r) for f, r in judgment_readings(j).get(e, []) if not is_predicative(r)]
     words = _words(e, sorted(_witnesses(impred), key=canonical_text), i)
     goal, _ = _expand(j.goal, e, _words_below(words, i))
-    return goal, [_chain(e, path) for path in _word_paths(_word_atoms(e, words), i)]
+    paths = _word_paths({w: _at(e, t) for w, t in words.items()}, i)
+    return goal, [semantics.schema("Bm", p, i, "eps" if isinstance(e, Eps) else "tau") for p in paths]
 
 
 def eliminate_complete_Gm(j: Judgment, e: Term, m: int) -> list[EliminationStep]:
@@ -482,11 +440,14 @@ def run_elimination(
       middle; the goal after it is the result, left ungrounded.
 
     Residual terms in an hb or weak-lin result become fresh constants, one
-    per alpha-class.  With ``verify`` the backend checks the input, then the
-    judgment after every step once the loop ends: each instance is certified
-    once, where it enters, and a run ending in a failure report sends only
-    the input query.  A failed check raises EliminationError.  The loop
-    builds its nodes in one sharing scope, closed before the checks.
+    per alpha-class.  With ``verify`` the backend checks the input judgment
+    with semantics.why_fails, its instances included, and, once the loop
+    ends, each step's criticals -> goal query.  The instances a step records
+    are certified by their schema-table row where the step builds them (see
+    _step), so none of them reaches the backend.  A run ending in a failure
+    report sends only the input query.  A failed check raises
+    EliminationError.  The loop builds its nodes in one sharing scope,
+    closed before the checks.
     """
     if driver not in DRIVERS:
         raise ValueError(f"unknown driver {driver!r} (use {', '.join(DRIVERS)})")
@@ -534,7 +495,8 @@ def run_elimination(
                     )
     if verify:
         for st in steps:
-            check_judgment(st.after, budget, f"after eliminating {to_text(st.target)}")
+            query = Judgment(st.after.logic, st.after.criticals, (), st.after.goal)
+            check_judgment(query, budget, f"after eliminating {to_text(st.target)}")
     if driver == "jankov":
         return EliminationTrace(tuple(steps), j.goal, ())
     sig = Signature.collect(given.goal, *given.criticals, *given.instances)

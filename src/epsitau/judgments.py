@@ -23,19 +23,6 @@ class Logic:
     def __str__(self) -> str:
         return f"lc{self.m}" if self.kind == "lcm" else self.kind
 
-    @property
-    def proves_lin(self) -> bool:
-        return self.kind in ("classical", "lcm", "lc")
-
-    @property
-    def bm_level(self) -> int | None:
-        """Least m for which the Bm chain schema holds, if any."""
-        if self.kind == "classical":
-            return 2
-        if self.kind == "lcm":
-            return self.m
-        return None
-
 
 CLASSICAL = Logic("classical")
 LC = Logic("lc")

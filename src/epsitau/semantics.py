@@ -7,7 +7,11 @@ terminating contraction-free sequent search; KC adds weak excluded middle
 on the query's atoms.  Every backend takes the first-order atoms of a
 quantifier-free query, one per alpha-class, as its propositional variables.
 decide is the only place a logic meets its backend: check, and why_fails
-behind verify and eliminate's checks, go through it.
+behind verify and eliminate's checks, go through it.  schema builds every
+schema instance, and proves is the one table of which logic proves which
+schema (the lemmas of Baaz & Zach, arXiv 1907.04477): an elimination step
+certifies the instances it records by their row, where it builds them, so
+only instances given from outside a run are decided.
 """
 
 from __future__ import annotations
@@ -261,56 +265,94 @@ def counterexample_Bm(m: int) -> Valuation:
 # Schemas
 
 
-def schema(kind: str, atoms: Sequence[str] | None = None, n: int | None = None) -> Formula:
-    """Build a characteristic schema instance over the given atom names.
+def schema(
+    kind: str,
+    atoms: Sequence[str | Formula] | None = None,
+    n: int | None = None,
+    polarity: str = "eps",
+) -> Formula:
+    """Build a characteristic schema instance over the given atoms.
 
-    Kinds: EM, Lin, J, Bm, Rn, bigdisj_eps, bigdisj_tau, iterated_lin.
-    For the parametric kinds, n fixes the size and atoms defaults to A1..Ak.
+    Kinds: EM, Lin, J, Bm, Rn, bigdisj, bigdisj_eps, bigdisj_tau, iterated_lin.
+    An atom is a name, read as a propositional atom, or a formula put in for
+    the schema letter.  EM and J range over the atoms given, one by default;
+    for the parametric kinds, n fixes the size (the link count for Bm and
+    iterated_lin), or else the atoms given do, and atoms defaults to A1..Ak.
+    The tau polarity gives the dual form that eliminating a tau term records:
+    EM and J swap their parts, bigdisj turns its implications round, and Bm
+    runs through the atoms backwards.  bigdisj_eps and bigdisj_tau are
+    bigdisj with that polarity.
     """
+    name = kind
+    if kind in ("bigdisj_eps", "bigdisj_tau"):
+        kind, polarity = "bigdisj", kind.removeprefix("bigdisj_")
+    if polarity not in ("eps", "tau"):
+        raise ValueError(f"polarity must be 'eps' or 'tau', not {polarity!r}")
+    tau = polarity == "tau"
 
-    def default_atoms(k: int) -> list[str]:
-        return [f"A{i}" for i in range(1, k + 1)]
+    def need(k: int | None = None) -> list[Formula]:  # None: the atoms given, or one
+        names = list(atoms) if atoms is not None else [f"A{i}" for i in range(1, (k or 1) + 1)]
+        if k is not None and len(names) != k:
+            raise ValueError(f"schema {name} needs {k} atoms, got {len(names)}")
+        return [a if isinstance(a, Formula) else Atom(a, ()) for a in names]
 
-    def need(k: int) -> list[Formula]:
-        names = list(atoms) if atoms is not None else default_atoms(k)
-        if len(names) != k:
-            raise ValueError(f"schema {kind} needs {k} atoms, got {len(names)}")
-        return [Atom(a, ()) for a in names]
+    def size(links: bool = False) -> int:
+        k = n if n is not None or atoms is None else len(atoms) - links
+        if k is None or k < 1:
+            raise ValueError(f"schema {name} needs n >= 1")
+        return k
 
     match kind:
         case "EM":
-            (a,) = need(1)
-            return Or(a, Not(a))
+            xs = need()
+            negs = [Not(x) for x in xs]
+            return or_join([and_join(xs), *negs] if tau else [*xs, and_join(negs)])
+        case "J":
+            xs = need()
+            negs, dnegs = [Not(x) for x in xs], [Not(Not(x)) for x in xs]
+            return or_join([and_join(dnegs), *negs] if tau else [and_join(negs), *dnegs])
         case "Lin":
             a, b = need(2)
             return Or(Implies(a, b), Implies(b, a))
-        case "J":
-            (a,) = need(1)
-            return Or(Not(a), Not(Not(a)))
         case "Bm" | "iterated_lin":
-            if n is None or n < 1:
-                raise ValueError(f"schema {kind} needs n >= 1")
-            xs = need(n + 1)
-            return or_join([Implies(xs[i], xs[i + 1]) for i in range(n)])
+            xs = need(size(links=True) + 1)
+            xs = xs[::-1] if tau else xs
+            return or_join([Implies(a, b) for a, b in zip(xs, xs[1:])])
         case "Rn":
-            if n is None or n < 1:
-                raise ValueError("schema Rn needs n >= 1")
-            xs = need(n)
-            parts: list[Formula] = [xs[0]]
-            parts += [Implies(xs[i], xs[i + 1]) for i in range(n - 1)]
-            parts.append(Not(xs[-1]))
-            return or_join(parts)
-        case "bigdisj_eps":
-            if n is None or n < 1:
-                raise ValueError("schema bigdisj_eps needs n >= 1")
-            xs = need(n)
-            return or_join([and_join([Implies(xi, xj) for xi in xs]) for xj in xs])
-        case "bigdisj_tau":
-            if n is None or n < 1:
-                raise ValueError("schema bigdisj_tau needs n >= 1")
-            xs = need(n)
-            return or_join([and_join([Implies(xj, xi) for xi in xs]) for xj in xs])
+            xs = need(size())
+            return or_join([xs[0], *(Implies(a, b) for a, b in zip(xs, xs[1:])), Not(xs[-1])])
+        case "bigdisj":
+            xs = need(size())
+            link = (lambda xi, xj: Implies(xj, xi)) if tau else Implies
+            return or_join([and_join([link(xi, xj) for xi in xs]) for xj in xs])
     raise ValueError(f"unknown schema kind {kind!r}")
+
+
+def proves(logic: Logic, kind: str, arity: int) -> bool:
+    """Does the logic prove every instance of the schema kind at this arity?
+
+    The schema lemmas of Baaz & Zach, *Epsilon theorems in intermediate
+    logics* (arXiv 1907.04477); the arity counts the atoms, or the links of
+    a chain, and either polarity is meant.  Arity 0 is refused.
+    - EM, excluded middle over n atoms: classical and lc2;
+    - J, weak excluded middle over n atoms: kc, lc, every lcN and classical;
+    - bigdisj, "one of n values is maximal" (minimal, for tau): classical,
+      every lcN and lc, the logics of linear orders;
+    - Bm, the m-link chain for m >= 2: lcN for N <= m (m+1 values on at most
+      m cannot all descend strictly), and classical.
+    """
+    match kind:
+        case "EM":
+            row = logic.kind == "classical" or logic.m == 2
+        case "J":
+            row = logic.kind in ("kc", "lc", "lcm", "classical")
+        case "bigdisj":
+            row = logic.kind in ("classical", "lcm", "lc")
+        case "Bm":
+            row = arity >= 2 and (logic.kind == "classical" or logic.kind == "lcm" and logic.m <= arity)
+        case _:
+            raise ValueError(f"no schema table row for kind {kind!r}")
+    return arity >= 1 and row
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +496,12 @@ def why_fails(
     """None if j holds; else its first refuted instance, or None when the
     criticals -> goal query fails, with the countermodel of that query.
 
-    Instances are decided once per shape.  A theorem is top in every Godel
-    valuation and a cut in H and KC, so certified instances leave the query.
+    For judgments from outside a run: the input of verify, verify_judgment
+    and an elimination (its ``instance:`` lines), whose instances no table
+    row vouches for.  They are decided once per shape; a judgment dumped
+    after a step can hold thousands of one or two shapes.  A theorem is top
+    in every Godel valuation and a cut in H and KC, so certified instances
+    leave the query.
     """
     first_of_shape: dict[tuple, Formula] = {}
     for inst in j.instances:

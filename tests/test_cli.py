@@ -5,7 +5,7 @@ import pytest
 from epsitau import semantics
 from epsitau.cli import main
 
-from helpers import refutes, weak_lin_negative_judgment
+from helpers import grid_judgment, refutes, weak_lin_negative_judgment
 from epsitau.judgments import dump_judgment
 from epsitau.parser import parse_formula
 
@@ -240,6 +240,38 @@ def test_verify_decides_a_failing_judgment_once(tmp_path, capsys, monkeypatch):
     path.write_text("logic: lc4\ngoal: (A1 -> A2) | (A2 -> A3) | (A3 -> A4)\n")
     code, _, _ = run_cli(capsys, "verify", str(path))
     assert code == 1 and len(calls) == 1
+
+
+def _weak_lin_text(witnesses: int) -> str:
+    e = "eps x. A(x)"
+    lines = ["logic: lc", *(f"critical: A(u{i}) -> A({e})" for i in range(1, witnesses + 1))]
+    return "\n".join(lines + [f"goal: A(u1) & A(u2) -> A({e})"]) + "\n"
+
+
+@pytest.mark.parametrize("driver", ["hb", "weak-lin"])
+def test_verified_run_decides_each_query_once_and_no_recorded_instance(
+    tmp_path, capsys, monkeypatch, driver
+):
+    calls, shapes = [], []
+    decide = semantics.decide
+
+    def counting_decide(logic, premises, goal, *rest):
+        calls.append((tuple(premises), goal))
+        return decide(logic, premises, goal, *rest)
+
+    monkeypatch.setattr(semantics, "decide", counting_decide)
+    monkeypatch.setattr(semantics, "_shape", shapes.append)
+    path = tmp_path / "run.judgment"
+    path.write_text(dump_judgment(grid_judgment("lc3", 2)) if driver == "hb" else _weak_lin_text(6))
+    code, out, _ = run_cli(capsys, "eliminate", str(path), "--driver", driver, "--verify", "full")
+    assert code == 0
+    recorded = {parse_formula(line.split(": ", 1)[1]) for line in out.splitlines() if line.startswith("  instance: ")}
+    steps = sum(line.startswith("step ") for line in out.splitlines())
+    # the input, then each step's criticals -> goal; the final result is the
+    # last step's goal with no premises left, so it is not decided again
+    assert len(calls) == len(set(calls)) == 1 + steps
+    assert recorded and not recorded & {goal for _, goal in calls}
+    assert shapes == []
 
 
 def test_eliminate_verify_full_reports_countervaluation_of_result(tmp_path, capsys):

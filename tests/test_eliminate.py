@@ -28,7 +28,7 @@ from epsitau.eliminate import (
     trace_to_json,
 )
 from epsitau import semantics, syntax
-from epsitau.judgments import CLASSICAL, KC, LC, lcm, make_judgment
+from epsitau.judgments import CLASSICAL, H, KC, LC, lcm, make_judgment
 from epsitau.parser import parse_formula as pf, parse_term as pt
 from epsitau.semantics import verify_judgment
 from epsitau.critical import is_predicative
@@ -113,7 +113,9 @@ def test_single_classical_tau():
     j = make_judgment(CLASSICAL, [c.rendered], pf("D(tau x. A(x))"))
     st = eliminate_single_classical(j, c)
     assert st.after.goal == pf("D(tau x. A(x)) | D(s_0)")
-    assert st.axiom_instances_used == (pf("~A(s_0) | A(s_0)"),)
+    # the one-atom tau instance of excluded middle, as complete elimination records it
+    assert st.axiom_instances_used == (pf("A(s_0) | ~A(s_0)"),)
+    assert st.axiom_instances_used == eliminate_complete_classical(j, c.critical_term).axiom_instances_used
     valid = make_judgment(CLASSICAL, [c.rendered], c.rendered)
     assert verify_judgment(eliminate_single_classical(valid, c).after)
 
@@ -694,16 +696,50 @@ def test_instance_honesty_random(logic):
 
 
 def test_verified_worked_example_query_count(monkeypatch):
-    # a solve per checked judgment and per distinct instance shape, not per premise
-    solve, calls = semantics.solve, []
+    # a decide per checked judgment, the input and each step's criticals -> goal,
+    # not per premise; the recorded instances are certified by their table row
+    decide, calls = semantics.decide, []
 
-    def counting_solve(*args):
-        calls.append(None)
-        return solve(*args)
+    def counting_decide(logic, premises, goal, *rest):
+        calls.append((tuple(premises), goal))
+        return decide(logic, premises, goal, *rest)
 
-    monkeypatch.setattr(semantics, "solve", counting_solve)
-    run_elimination(lc3_worked_judgment(), verify=True)
-    assert 0 < len(calls) <= 10
+    monkeypatch.setattr(semantics, "decide", counting_decide)
+    trace = run_elimination(lc3_worked_judgment(), verify=True)
+    assert len(calls) == 1 + len(trace.steps) == 3
+    recorded = {f for st in trace.steps for f in st.after.instances}
+    assert len(recorded) > 10 and not recorded & {goal for _, goal in calls}
+
+
+def _guard_cases(logic):
+    """(kind, arity, step, the ValueError text) for every step constructor."""
+    e = pt("eps x. A(x)")
+    pred = make_judgment(logic, [pf("A(u) -> A(eps x. A(x))"), pf("A(v) -> A(eps x. A(x))")], pf("~D(eps x. A(x))"))
+    impred = make_judgment(logic, [pf("A(s(eps x. A(x))) -> A(eps x. A(x))")], pf("~D(eps x. A(x))"))
+    c = recognize_critical(pred.criticals[0])[0]
+    yield "EM", 1, lambda: eliminate_single_classical(pred, c), (
+        "single elimination via excluded middle needs classical logic"
+    )
+    yield "EM", 2, lambda: eliminate_complete_classical(pred, e), (
+        "complete classical elimination needs classical logic"
+    )
+    yield "J", 2, lambda: eliminate_negated_jankov(pred, e), f"logic {logic} does not prove weak excluded middle"
+    yield "bigdisj", 2, lambda: eliminate_predicative_lin(pred, e), f"logic {logic} does not prove linearity"
+    for m in (2, 3, 4):
+        yield "Bm", m, lambda m=m: eliminate_impredicative_Bm(impred, e, m), (
+            f"logic {logic} does not prove the {m}-link chain schema"
+        )
+
+
+@pytest.mark.parametrize("logic", [CLASSICAL, lcm(2), lcm(3), lcm(4), LC, KC, H], ids=str)
+def test_each_step_refuses_exactly_what_its_table_row_refuses(logic):
+    for kind, arity, step, refusal in _guard_cases(logic):
+        if semantics.proves(logic, kind, arity):
+            assert step().after.instances
+        else:
+            with pytest.raises(ValueError) as ex:
+                step()
+            assert str(ex.value) == refusal
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,68 @@ def test_schema_relations_report():
 
 
 # ---------------------------------------------------------------------------
+# the schema table: which logic proves which schema
+
+
+TABLE_LOGICS = [CLASSICAL, *(lcm(m) for m in range(2, 7)), LC, KC, H]
+
+
+def _table_instance(kind, arity, polarity):
+    letters = arity + (kind == "Bm")  # a chain of m links runs through m + 1 atoms
+    return schema(kind, [f"A{i}" for i in range(1, letters + 1)], arity, polarity)
+
+
+@pytest.mark.parametrize("kind", ["EM", "J", "bigdisj", "Bm"])
+def test_schema_table_rows_agree_with_the_backends(kind):
+    # an accepted row is valid by decide, and by the Godel oracle on chains up
+    # to arity 4 (it enumerates the valuations); a refused row is refuted,
+    # unless its arity makes every instance trivial
+    degenerate = {"EM": 0, "J": 0, "bigdisj": 1, "Bm": 1}[kind]
+    for logic in TABLE_LOGICS:
+        for arity in range(1, 6):
+            for polarity in ("eps", "tau"):
+                phi = _table_instance(kind, arity, polarity)
+                ok, _ = decide(logic, [], phi)
+                if semantics.proves(logic, kind, arity):
+                    assert ok, (str(logic), kind, arity, polarity)
+                    if logic.kind in ("classical", "lcm", "lc") and arity <= 4:
+                        size = 2 if logic == CLASSICAL else logic.m or lc_chain_size(phi)
+                        assert godel_oracle(phi, size), (str(logic), kind, arity, polarity)
+                elif arity > degenerate:
+                    assert not ok, (str(logic), kind, arity, polarity)
+
+
+def test_schema_table_rows():
+    assert [str(g) for g in TABLE_LOGICS if semantics.proves(g, "EM", 3)] == ["classical", "lc2"]
+    assert [str(g) for g in TABLE_LOGICS if not semantics.proves(g, "J", 1)] == ["h"]
+    assert [str(g) for g in TABLE_LOGICS if not semantics.proves(g, "bigdisj", 4)] == ["kc", "h"]
+    assert [str(g) for g in TABLE_LOGICS if semantics.proves(g, "Bm", 3)] == ["classical", "lc2", "lc3"]
+    # the 2-link chain is refused on lc3, and the backend refutes it there
+    assert not semantics.proves(lcm(3), "Bm", 2)
+    assert not decide(lcm(3), [], schema("Bm", n=2))[0]
+    assert not any(semantics.proves(g, k, 0) for g in TABLE_LOGICS for k in ("EM", "J", "bigdisj"))
+    assert not semantics.proves(CLASSICAL, "Bm", 1)
+    with pytest.raises(ValueError):
+        semantics.proves(CLASSICAL, "Lin", 2)
+
+
+def test_schema_polarity_and_arity():
+    assert schema("EM", ["A", "B"]) == pf("A | B | ~A & ~B")
+    assert schema("EM", ["A", "B"], polarity="tau") == pf("A & B | ~A | ~B")
+    assert schema("J", ["A", "B"]) == pf("~A & ~B | ~~A | ~~B")
+    assert schema("J", ["A", "B"], polarity="tau") == pf("~~A & ~~B | ~A | ~B")
+    assert schema("Bm", ["A", "B", "C"], polarity="tau") == pf("(C -> B) | (B -> A)")
+    assert schema("bigdisj", ["A", "B"], polarity="tau") == schema("bigdisj_tau", ["A", "B"])
+    assert schema("bigdisj", n=3) == schema("bigdisj_eps", n=3)
+    # the CLI's one-atom default for EM and J stands, whatever n says
+    assert schema("EM", n=3) == pf("A1 | ~A1")
+    with pytest.raises(ValueError):
+        schema("EM", ["A"], polarity="up")
+    with pytest.raises(ValueError):
+        schema("Bm", ["A"])
+
+
+# ---------------------------------------------------------------------------
 # judgment verification
 
 
