@@ -2,7 +2,7 @@
 
 Subcommands: translate, eliminate, check, verify, rank, degree, classify,
 reconstruct, schemas.  Exit codes: 0 success/valid, 1 invalid, failure
-report or failed check, 2 usage error, 3 budget exceeded.
+report or failed check, 2 usage error or recursion too deep, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 from . import eliminate as elim
 from . import semantics
 from .critical import degree, is_predicative, is_weak, rank, recognize_critical
-from .judgments import load_judgment, make_judgment, parse_logic
+from .judgments import load_judgment, parse_logic
 from .parser import ParseError, parse_formula, parse_term
 from .semantics import BudgetExceededError, DEFAULT_BUDGET
 from .syntax import to_text
@@ -27,12 +27,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _emit(
-    args, payload: dict, text_lines: list[str], counter: semantics.Countermodel | None = None
-) -> None:
-    if counter is not None:
-        payload["chain_size"], payload["countervaluation"] = counter
-        text_lines = text_lines + [f"countervaluation on the {counter[0]}-chain: {counter[1]}"]
+def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -57,25 +52,20 @@ def cmd_translate(args) -> int:
 
 def cmd_check(args) -> int:
     logic = parse_logic(args.logic)
-    ok, counter = semantics.decide(logic, [], parse_formula(args.formula), budget=args.budget)
-    payload = {"logic": str(logic), "valid": ok}
-    lines = [f"{'valid' if ok else 'invalid'} in {logic}"]
-    _emit(args, payload, lines, counter)
-    return EXIT_OK if ok else EXIT_INVALID
+    verdict = semantics.decide(logic, [], parse_formula(args.formula), budget=args.budget)
+    lines, keys = verdict.describe(logic)
+    payload = {"logic": str(logic), "valid": verdict.holds, **keys}
+    _emit(args, payload, [f"{'valid' if verdict else 'invalid'} in {logic}", *lines])
+    return EXIT_OK if verdict else EXIT_INVALID
 
 
 def cmd_verify(args) -> int:
     j = load_judgment(Path(args.judgment).read_text())
-    failure = semantics.why_fails(j, budget=args.budget)
-    ok = failure is None
-    instance, counter = failure or (None, None)
-    payload = {"logic": str(j.logic), "holds": ok}
-    lines = [f"judgment {'holds' if ok else 'fails'} in {j.logic}"]
-    if instance is not None:
-        payload["instance"] = to_text(instance)
-        lines.append(f"instance not a theorem of {j.logic}: {payload['instance']}")
-    _emit(args, payload, lines, counter)
-    return EXIT_OK if ok else EXIT_INVALID
+    verdict = semantics.verify_judgment(j, budget=args.budget)
+    lines, keys = verdict.describe(j.logic)
+    payload = {"logic": str(j.logic), "holds": verdict.holds, **keys}
+    _emit(args, payload, [f"judgment {'holds' if verdict else 'fails'} in {j.logic}", *lines])
+    return EXIT_OK if verdict else EXIT_INVALID
 
 
 def _trace_lines(trace: elim.EliminationTrace) -> list[str]:
@@ -96,9 +86,7 @@ def _trace_lines(trace: elim.EliminationTrace) -> list[str]:
 
 def cmd_eliminate(args) -> int:
     j = load_judgment(Path(args.judgment).read_text())
-    out = elim.run_elimination(
-        j, verify=args.verify != "none", budget=args.budget, driver=args.driver
-    )
+    out = elim.run_elimination(j, verify=args.verify, budget=args.budget, driver=args.driver)
     if isinstance(out, elim.FailureReport):
         payload = {
             "failure": {
@@ -110,12 +98,6 @@ def cmd_eliminate(args) -> int:
         }
         _emit(args, payload, [str(out)])
         return EXIT_INVALID
-    # a jankov run is one step, so its result may keep other critical formulas;
-    # a result that is the last checked judgment's query was decided already
-    last = out.final or j
-    decided = not last.criticals and last.goal == out.result
-    if args.verify == "full" and args.driver != "jankov" and not decided:
-        elim.check_judgment(make_judgment(j.logic, [], out.result), args.budget, "final result")
     if args.format == "json":
         print(elim.trace_to_json(out, j.logic))
     else:
@@ -229,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eliminate", help="run critical formula elimination on a judgment file")
     p.add_argument("judgment")
     p.add_argument("--driver", choices=tuple(elim.DRIVERS), default="hb")
-    p.add_argument("--verify", choices=("none", "steps", "full"), default="none")
+    p.add_argument("--verify", choices=elim.VERIFY_LEVELS, default="none")
     p.set_defaults(fn=cmd_eliminate)
 
     p = sub.add_parser("rank", help="rank of an epsilon/tau term")
@@ -271,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     except elim.EliminationError as ex:
         print(ex, file=sys.stderr)
         return EXIT_INVALID
-    except (ParseError, ValueError, OSError) as ex:
+    except (ParseError, ValueError, OSError, RecursionError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -60,7 +60,6 @@ __all__ = [
     "FailureReport",
     "bm_extract",
     "bm_stage",
-    "check_judgment",
     "combine_disjunction",
     "eliminate_complete_Gm",
     "eliminate_complete_classical",
@@ -98,10 +97,6 @@ class EliminationTrace:
     steps: tuple[EliminationStep, ...]
     result: Formula
     grounding: tuple[tuple[Term, str], ...]
-
-    @property
-    def final(self) -> Judgment | None:
-        return self.steps[-1].after if self.steps else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,7 +252,7 @@ def strengthen_premise(
     """Replace premise A by B, justified by B |- A in the judgment's logic."""
     if a not in j.criticals:
         raise ValueError(f"premise not present: {to_text(a)}")
-    if verify and not semantics.decide(j.logic, [b], a, budget)[0]:
+    if verify and not semantics.decide(j.logic, [b], a, budget):
         raise EliminationError(
             f"justification {justification!r} failed: {to_text(b)} |- {to_text(a)}"
         )
@@ -398,6 +393,7 @@ def eliminate_complete_Gm(j: Judgment, e: Term, m: int) -> list[EliminationStep]
 
 # The logics each driver accepts; jankov's step checks the logic itself.
 DRIVERS = {"hb": ("classical", "lcm"), "weak-lin": ("lc",), "jankov": None}
+VERIFY_LEVELS = ("none", "steps", "full")  # what run_elimination checks, see there
 
 
 def _finish(j: Judgment, steps: list[EliminationStep], sig: Signature) -> EliminationTrace:
@@ -420,7 +416,7 @@ def _finish(j: Judgment, steps: list[EliminationStep], sig: Signature) -> Elimin
 
 def run_elimination(
     j: Judgment,
-    verify: bool = False,
+    verify: str = "none",
     budget: int = semantics.DEFAULT_BUDGET,
     on_step: Callable[[EliminationStep], None] | None = None,
     *,
@@ -440,21 +436,23 @@ def run_elimination(
       middle; the goal after it is the result, left ungrounded.
 
     Residual terms in an hb or weak-lin result become fresh constants, one
-    per alpha-class.  With ``verify`` the backend checks the input judgment
-    with semantics.why_fails, its instances included, and, once the loop
-    ends, each step's criticals -> goal query.  The instances a step records
-    are certified by their schema-table row where the step builds them (see
-    _step), so none of them reaches the backend.  A run ending in a failure
+    per alpha-class.  With ``verify`` "steps" semantics.verify_judgment
+    checks the input judgment, its instances included, and, after the loop,
+    each step's criticals -> goal; "full" checks the result too, unless that
+    was the last query (a jankov result may keep criticals: no check).  A
+    step's instances are certified by their schema-table row where it builds
+    them (see _step), so none reaches the backend.  A run ending in a failure
     report sends only the input query.  A failed check raises
-    EliminationError.  The loop builds its nodes in one sharing scope,
-    closed before the checks.
+    EliminationError.  The loop builds its nodes in one sharing scope.
     """
+    if verify not in VERIFY_LEVELS:
+        raise ValueError(f"unknown verify level {verify!r} (use {', '.join(VERIFY_LEVELS)})")
     if driver not in DRIVERS:
         raise ValueError(f"unknown driver {driver!r} (use {', '.join(DRIVERS)})")
     if DRIVERS[driver] is not None and j.logic.kind not in DRIVERS[driver]:
         raise ValueError(f"the {driver} driver does not handle logic {j.logic}")
-    if verify:
-        check_judgment(j, budget, "input judgment")
+    if verify != "none":
+        _check_judgment(j, budget, "input judgment")
     given = j
     steps: list[EliminationStep] = []
     with sharing():
@@ -493,26 +491,24 @@ def run_elimination(
                     raise EliminationError(
                         f"termination measure did not decrease: {before_measure} -> {after_measure}"
                     )
-    if verify:
+    if verify != "none":
         for st in steps:
             query = Judgment(st.after.logic, st.after.criticals, (), st.after.goal)
-            check_judgment(query, budget, f"after eliminating {to_text(st.target)}")
+            _check_judgment(query, budget, f"after eliminating {to_text(st.target)}")
     if driver == "jankov":
         return EliminationTrace(tuple(steps), j.goal, ())
     sig = Signature.collect(given.goal, *given.criticals, *given.instances)
-    return _finish(j, steps, sig)
+    trace = _finish(j, steps, sig)
+    if verify == "full" and (j.criticals or j.goal != trace.result):
+        _check_judgment(Judgment(j.logic, (), (), trace.result), budget, "final result")
+    return trace
 
 
-def check_judgment(j: Judgment, budget: int, where: str) -> None:
+def _check_judgment(j: Judgment, budget: int, where: str) -> None:
     """Raise EliminationError, naming where and why, unless j holds in its logic."""
-    failure = semantics.why_fails(j, budget)
-    if failure is not None:
-        instance, counter = failure
-        if instance is not None:
-            where += f": instance {to_text(instance)} is not a theorem of {j.logic}"
-        elif counter is not None:
-            where += f": countervaluation on the {counter[0]}-chain: {counter[1]}"
-        raise EliminationError(f"verification failed: {where}")
+    if not (verdict := semantics.verify_judgment(j, budget)):
+        lines, _ = verdict.describe(j.logic)
+        raise EliminationError(": ".join([f"verification failed: {where}", *lines]))
 
 
 # ---------------------------------------------------------------------------

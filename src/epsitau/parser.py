@@ -121,9 +121,15 @@ class _Parser:
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "~":
-            self.next()
-            return Not(self.unary())
+        if tok.kind == "~":  # a run of ~ is read in a loop, not one recursion each
+            nots = 0
+            while self.peek().kind == "~":
+                self.next()
+                nots += 1
+            out = self.unary()
+            for _ in range(nots):
+                out = Not(out)
+            return out
         if tok.kind == "kw" and tok.value in ("all", "ex"):
             self.next()
             name = self.expect("ident").value

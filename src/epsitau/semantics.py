@@ -6,17 +6,17 @@ on literal assignments.  Intuitionistic consequence is decided by a
 terminating contraction-free sequent search; KC adds weak excluded middle
 on the query's atoms.  Every backend takes the first-order atoms of a
 quantifier-free query, one per alpha-class, as its propositional variables.
-decide is the only place a logic meets its backend: check, and why_fails
-behind verify and eliminate's checks, go through it.  schema builds every
-schema instance, and proves is the one table of which logic proves which
-schema (the lemmas of Baaz & Zach, arXiv 1907.04477): an elimination step
-certifies the instances it records by their row, where it builds them, so
-only instances given from outside a run are decided.
+decide is the only place a logic meets its backend.  It answers with a
+Verdict, and Verdict.describe turns every failure into text.  schema builds
+every schema instance, and proves is the one table of which logic proves
+which schema (the lemmas of Baaz & Zach, arXiv 1907.04477): an elimination
+step certifies the instances it records by their row, where it builds them,
+so only instances from outside a run are decided, by verify_judgment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .judgments import Judgment, Logic
@@ -39,7 +39,6 @@ from .syntax import (
     or_spine,
     sharing,
     to_text,
-    transform,
 )
 
 DEFAULT_BUDGET = 20_000_000
@@ -360,16 +359,23 @@ def proves(logic: Logic, kind: str, arity: int) -> bool:
 
 
 def _norm(phi: Formula) -> Formula:
-    """Rewrite ~A to A -> bot, the prover's one negation form; recurses only into nested ~."""
-
-    def leaf(node, depth):
-        if isinstance(node, Not):
-            return Implies(_norm(node.sub), BOT)
-        if isinstance(node, Atom):  # interned, so equal formulas end up with the same kids
-            return Atom(node.pred, node.args)
-        return None if isinstance(node, (And, Or, Implies)) else node
-
-    return transform(phi, leaf)
+    """Rewrite ~A to A -> bot, the prover's one negation form, through an explicit stack."""
+    done: dict[int, Formula] = {}  # id(node) -> its rewrite, made after its children's
+    stack = [phi]
+    while stack:
+        f = stack[-1]
+        kids = f._kids() if isinstance(f, (Not, And, Or, Implies)) else ()
+        if todo := [k for k in kids if id(k) not in done]:
+            stack += todo
+            continue
+        stack.pop()
+        if isinstance(f, Atom):  # interned, so equal formulas end up with the same kids
+            done[id(f)] = Atom(f.pred, f.args)
+        elif isinstance(f, Not):
+            done[id(f)] = Implies(done[id(f.sub)], BOT)
+        else:
+            done[id(f)] = type(f)(*(done[id(k)] for k in kids)) if kids else f
+    return done[id(phi)]
 
 
 # Memo of one top-level query; prove_H empties it when the query returns.
@@ -440,13 +446,33 @@ def prove_H(premises: Iterable[Formula], goal: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Backend dispatch
 
-# (chain size, first-order atom text -> value) refuting a chain query
-Countermodel = tuple[int, Valuation]
+@dataclass(frozen=True, slots=True)
+class Verdict:
+    """A backend's answer, true iff the query holds, and what refutes it if not."""
+
+    holds: bool
+    chain_size: int | None = None  # a chain refutes it: the chain's size and
+    countervaluation: Valuation | None = None  # a valuation keyed by atom text
+    instance: Formula | None = None  # a judgment's first refuted instance
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+    def describe(self, logic: Logic) -> tuple[list[str], dict]:
+        """The text lines and the JSON keys that explain a failure; none for a success."""
+        lines, keys = [], {}
+        if self.instance is not None:
+            keys["instance"] = to_text(self.instance)
+            lines.append(f"instance {keys['instance']} is not a theorem of {logic}")
+        if self.countervaluation is not None:
+            keys["chain_size"], keys["countervaluation"] = self.chain_size, self.countervaluation
+            lines.append(f"countervaluation on the {self.chain_size}-chain: {self.countervaluation}")
+        return lines, keys
 
 
 def decide(
     logic: Logic, premises: Sequence[Formula], goal: Formula, budget: int = DEFAULT_BUDGET
-) -> tuple[bool, Countermodel | None]:
+) -> Verdict:
     """Does premises |- goal hold in the logic?  The one map from logic to backend.
 
     The query's atoms are its propositional variables.  Classical, lcN and lc
@@ -463,18 +489,18 @@ def decide(
         if not is_quantifier_free(f):
             raise ValueError(f"not quantifier-free: {to_text(f)}")
     if _by_identity(premises, goal):
-        return True, None
+        return Verdict(True)
     query = Implies(and_join(premises), goal) if premises else goal
     match logic.kind:
         case "h":
-            return prove_H(premises, goal), None
+            return Verdict(prove_H(premises, goal))
         case "kc":
             wem = [Or(Not(a), Not(Not(a))) for a in prop_atoms(query)]
-            return prove_H([*premises, *wem], goal), None
+            return Verdict(prove_H([*premises, *wem], goal))
         case "classical" | "lcm" | "lc":
             size = 2 if logic.kind == "classical" else logic.m or lc_chain_size(query)
             ok, counter = valid_in_LCm(query, size, budget)
-            return ok, None if ok else (size, counter)
+            return Verdict(True) if ok else Verdict(False, size, counter)
     raise ValueError(f"unknown logic {logic}")
 
 
@@ -490,33 +516,23 @@ def _by_identity(premises: Sequence[Formula], goal: Formula) -> bool:
     )
 
 
-def why_fails(
-    j: Judgment, budget: int = DEFAULT_BUDGET
-) -> tuple[Formula | None, Countermodel | None] | None:
-    """None if j holds; else its first refuted instance, or None when the
-    criticals -> goal query fails, with the countermodel of that query.
+def verify_judgment(j: Judgment, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Are j's instances theorems of its logic, and does criticals -> goal hold there?
 
-    For judgments from outside a run: the input of verify, verify_judgment
-    and an elimination (its ``instance:`` lines), whose instances no table
-    row vouches for.  They are decided once per shape; a judgment dumped
-    after a step can hold thousands of one or two shapes.  A theorem is top
-    in every Godel valuation and a cut in H and KC, so certified instances
-    leave the query.
+    A failure names the first refuted instance, with its countermodel, or
+    else has the countermodel of criticals -> goal.  The instances, which no
+    table row vouches for, are decided once per shape (a dumped judgment can
+    hold thousands of one or two), and then leave the query: a theorem is
+    top in every Godel valuation and a cut in H and KC.
     """
     first_of_shape: dict[tuple, Formula] = {}
     for inst in j.instances:
         first_of_shape.setdefault(_shape(inst), inst)
     for inst in first_of_shape.values():
-        ok, counter = decide(j.logic, [], inst, budget)
-        if not ok:
-            return inst, counter
-    ok, counter = decide(j.logic, j.criticals, j.goal, budget)
-    return None if ok else (None, counter)
-
-
-def verify_judgment(j: Judgment, budget: int = DEFAULT_BUDGET) -> bool:
-    """Are j's instances theorems of its logic, and does criticals -> goal hold there?"""
-    return why_fails(j, budget) is None
+        verdict = decide(j.logic, [], inst, budget)
+        if not verdict:
+            return replace(verdict, instance=inst)
+    return decide(j.logic, j.criticals, j.goal, budget)
 
 
 # ---------------------------------------------------------------------------

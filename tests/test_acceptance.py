@@ -62,7 +62,7 @@ def report(number: int, title: str, ok: bool) -> None:
 
 
 def test_criterion_1_chain_witness_pipeline():
-    trace = run_elimination(chain_witness_judgment(), verify=True)
+    trace = run_elimination(chain_witness_judgment(), verify="steps")
     result = trace.result
     ok = not contains_etau(result)
     skeleton = pf("P(f(z)) -> P(z)")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +10,7 @@ from epsitau import semantics
 from epsitau.cli import main
 
 from helpers import grid_judgment, refutes, weak_lin_negative_judgment
-from epsitau.judgments import dump_judgment
+from epsitau.judgments import dump_judgment, lcm, load_judgment, make_judgment
 from epsitau.parser import parse_formula
 
 
@@ -175,7 +179,7 @@ def test_verify_rejects_instance_that_is_not_a_theorem(tmp_path, capsys):
     path.write_text("logic: lc3\ninstance: P(a) -> Q(a)\ninstance: P(a)\ngoal: Q(a)\n")
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 1
-    assert out.splitlines()[:2] == ["judgment fails in lc3", "instance not a theorem of lc3: P(a) -> Q(a)"]
+    assert out.splitlines()[:2] == ["judgment fails in lc3", "instance P(a) -> Q(a) is not a theorem of lc3"]
     code, out, _ = run_cli(capsys, "--format", "json", "verify", str(path))
     doc = json.loads(out)
     assert code == 1 and doc["holds"] is False and doc["instance"] == "P(a) -> Q(a)"
@@ -183,7 +187,10 @@ def test_verify_rejects_instance_that_is_not_a_theorem(tmp_path, capsys):
     assert doc["chain_size"] == 3 and counter["P(a)"] > counter["Q(a)"]
     code, _, err = run_cli(capsys, "eliminate", str(path), "--verify", "steps")
     assert code == 1
-    assert err == "verification failed: input judgment: instance P(a) -> Q(a) is not a theorem of lc3\n"
+    assert err == (
+        "verification failed: input judgment: instance P(a) -> Q(a) is not a theorem of lc3: "
+        "countervaluation on the 3-chain: {'P(a)': 1, 'Q(a)': 0}\n"
+    )
 
 
 def test_reconstruct(capsys):
@@ -300,4 +307,96 @@ def test_eliminate_checks_input_instances_on_every_driver(tmp_path, capsys, driv
     )
     code, out, err = run_cli(capsys, "eliminate", str(path), "--driver", driver, "--verify", "steps")
     assert code == 1 and out == ""
-    assert err == f"verification failed: input judgment: instance {instance} is not a theorem of {logic}\n"
+    # a chain refutes the instance with a countervaluation; the prover gives none
+    detail = ": countervaluation on the 3-chain: {'P': 1}" if logic == "lc" else ""
+    assert err == f"verification failed: input judgment: instance {instance} is not a theorem of {logic}{detail}\n"
+
+
+# ---------------------------------------------------------------------------
+# One Verdict printer: every failing path prints what Verdict.describe says
+
+
+def _described(verdict, logic):
+    lines, keys = verdict.describe(logic)
+    assert lines and keys  # a chain failure always carries a countervaluation
+    return lines, keys
+
+
+def test_check_prints_the_verdict_description(capsys):
+    verdict = semantics.decide(lcm(3), [], parse_formula("A | ~A"))
+    lines, keys = _described(verdict, lcm(3))
+    code, out, _ = run_cli(capsys, "check", "--logic", "lc3", "A | ~A")
+    assert code == 1 and out.splitlines() == ["invalid in lc3", *lines]
+    code, out, _ = run_cli(capsys, "--format", "json", "check", "--logic", "lc3", "A | ~A")
+    assert code == 1 and json.loads(out) == {"logic": "lc3", "valid": False, **keys}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "logic: lc3\ninstance: P(a) -> Q(a)\ninstance: P(a)\ngoal: Q(a)\n",
+        "logic: lc4\ngoal: (A1 -> A2) | (A2 -> A3) | (A3 -> A4)\n",
+    ],
+    ids=["refuted-instance", "failed-query"],
+)
+def test_verify_prints_the_verdict_description(tmp_path, capsys, text):
+    j = load_judgment(text)
+    lines, keys = _described(semantics.verify_judgment(j), j.logic)
+    assert ("instance" in keys) == bool(j.instances)
+    path = tmp_path / "j.judgment"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1 and out.splitlines() == [f"judgment fails in {j.logic}", *lines]
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", str(path))
+    assert code == 1 and json.loads(out) == {"logic": str(j.logic), "holds": False, **keys}
+
+
+@pytest.mark.parametrize(
+    "text, options, where, query",
+    [
+        (
+            "logic: lc\ncritical: A(u) -> A(eps x. A(x))\ninstance: P | ~P\n"
+            "goal: ~~(A(u) -> A(eps x. A(x)))\n",
+            ["--driver", "weak-lin", "--verify", "steps"], "input judgment", None,
+        ),
+        ("logic: classical\ncritical: B\ngoal: B\n", ["--verify", "full"], "final result", "B"),
+    ],
+    ids=["refuted-input-instance", "failed-final-result"],
+)
+def test_eliminate_error_carries_the_verdict_description(tmp_path, capsys, text, options, where, query):
+    j = load_judgment(text)
+    checked = j if query is None else make_judgment(j.logic, [], parse_formula(query))
+    lines, _ = _described(semantics.verify_judgment(checked), j.logic)
+    path = tmp_path / "j.judgment"
+    path.write_text(text)
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "--format", fmt, "eliminate", str(path), *options)
+        assert code == 1 and out == ""
+        assert err == ": ".join([f"verification failed: {where}", *lines]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Deep formulas: no recursion per nested negation, and a crash is never "invalid"
+
+
+@pytest.mark.parametrize("logic", ["h", "kc"])
+def test_check_reads_and_proves_a_thousand_nested_negations(capsys, logic):
+    tower = "~" * 1000 + "A"
+    code, out, err = run_cli(capsys, "check", "--logic", logic, f"({tower} & B) -> {tower}")
+    assert (code, out, err) == (0, f"valid in {logic}\n", "")
+
+
+def test_prover_recursion_limit_is_not_an_invalid_answer():
+    # ~^900 A | ~^901 A is ~~A | ~A, valid in KC; the prover may run out of
+    # stack on it, which must end as an error, never as exit 1 ("invalid")
+    formula = "~" * 900 + "A | " + "~" * 901 + "A"
+    src = str(Path(semantics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "epsitau", "check", "--logic", "kc", formula],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode in (0, 2), run.stderr
+    assert "Traceback" not in run.stderr
+    if run.returncode == 2:
+        assert run.stderr.startswith("error: ") and len(run.stderr.splitlines()) == 1

@@ -9,6 +9,7 @@ import pytest
 from epsitau.critical import rank, recognize_critical
 from epsitau.eliminate import (
     reconstruct_from_herbrand,
+    EliminationError,
     EliminationTrace,
     FailureReport,
     bm_extract,
@@ -180,7 +181,7 @@ def test_complete_classical_impredicative_witness():
     j = make_judgment(CLASSICAL, [u], pf("D(eps x. P(x))"))
     st = eliminate_complete_classical(j, e)
     assert st.elimination_set == (e, pt("f(eps x. P(x))"))
-    assert verify_judgment(st.after) == verify_judgment(j)
+    assert verify_judgment(st.after).holds == verify_judgment(j).holds
 
 
 def _iterate_single(j, e):
@@ -426,7 +427,7 @@ def test_complete_gm_impred_only():
 
 def test_run_elimination_chain_witness():
     j = chain_witness_judgment()
-    trace = run_elimination(j, verify=True)
+    trace = run_elimination(j, verify="steps")
     assert not contains_etau(trace.result)
     for d in or_spine(trace.result):
         assert isinstance(d, Implies)
@@ -457,7 +458,7 @@ def test_run_elimination_worked_example_verifies_on_longer_chains(m):
     # 62 and 126 atoms: beyond reach of enumerating the valuations
     j = lc3_worked_judgment()
     j = make_judgment(lcm(m), j.criticals, j.goal)
-    trace = run_elimination(j, verify=True)
+    trace = run_elimination(j, verify="steps")
     assert isinstance(trace, EliminationTrace)
     assert not contains_etau(trace.result)
 
@@ -705,10 +706,23 @@ def test_verified_worked_example_query_count(monkeypatch):
         return decide(logic, premises, goal, *rest)
 
     monkeypatch.setattr(semantics, "decide", counting_decide)
-    trace = run_elimination(lc3_worked_judgment(), verify=True)
+    trace = run_elimination(lc3_worked_judgment(), verify="steps")
     assert len(calls) == 1 + len(trace.steps) == 3
     recorded = {f for st in trace.steps for f in st.after.instances}
     assert len(recorded) > 10 and not recorded & {goal for _, goal in calls}
+
+
+def test_run_elimination_owns_the_final_check():
+    # verify takes the --verify levels; "full" decides the result after the steps
+    j = make_judgment(CLASSICAL, [pf("B")], pf("B"))
+    with pytest.raises(EliminationError) as failed:
+        run_elimination(j, verify="full")
+    assert str(failed.value) == "verification failed: final result: countervaluation on the 2-chain: {'B': 0}"
+    trace = run_elimination(j, verify="steps")
+    assert isinstance(trace, EliminationTrace) and trace.result == pf("B")
+    for level in ("all", True):
+        with pytest.raises(ValueError, match="unknown verify level"):
+            run_elimination(j, verify=level)
 
 
 def _guard_cases(logic):

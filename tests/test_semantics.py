@@ -10,6 +10,7 @@ from epsitau import semantics
 from epsitau.semantics import (
     BudgetExceededError,
     GodelChain,
+    Verdict,
     counterexample_Bm,
     decide,
     eval_godel,
@@ -325,7 +326,7 @@ def test_schema_table_rows_agree_with_the_backends(kind):
         for arity in range(1, 6):
             for polarity in ("eps", "tau"):
                 phi = _table_instance(kind, arity, polarity)
-                ok, _ = decide(logic, [], phi)
+                ok = decide(logic, [], phi).holds
                 if semantics.proves(logic, kind, arity):
                     assert ok, (str(logic), kind, arity, polarity)
                     if logic.kind in ("classical", "lcm", "lc") and arity <= 4:
@@ -342,7 +343,7 @@ def test_schema_table_rows():
     assert [str(g) for g in TABLE_LOGICS if semantics.proves(g, "Bm", 3)] == ["classical", "lc2", "lc3"]
     # the 2-link chain is refused on lc3, and the backend refutes it there
     assert not semantics.proves(lcm(3), "Bm", 2)
-    assert not decide(lcm(3), [], schema("Bm", n=2))[0]
+    assert not decide(lcm(3), [], schema("Bm", n=2)).holds
     assert not any(semantics.proves(g, k, 0) for g in TABLE_LOGICS for k in ("EM", "J", "bigdisj"))
     assert not semantics.proves(CLASSICAL, "Bm", 1)
     with pytest.raises(ValueError):
@@ -394,11 +395,11 @@ def test_verify_judgment_lc_and_lcm():
 
 def test_decide_atoms_injective_on_alpha_classes():
     # alpha-equal atoms are one propositional variable, other atoms another
-    assert decide(CLASSICAL, [], pf("P(eps x. P(x)) | ~P(eps y. P(y))")) == (True, None)
-    assert not decide(CLASSICAL, [], pf("P(eps x. P(x)) | ~P(c)"))[0]
-    assert decide(H, [pf("P(eps x. P(x)) & Q")], pf("P(eps y. P(y))")) == (True, None)
-    ok, (size, counter) = decide(LC, [], pf("P(eps x. P(x)) | P(eps y. P(y)) | P(c)"))
-    assert not ok and size == 4 and list(counter) == ["P(eps x. P(x))", "P(c)"]
+    assert decide(CLASSICAL, [], pf("P(eps x. P(x)) | ~P(eps y. P(y))")) == Verdict(True)
+    assert not decide(CLASSICAL, [], pf("P(eps x. P(x)) | ~P(c)")).holds
+    assert decide(H, [pf("P(eps x. P(x)) & Q")], pf("P(eps y. P(y))")) == Verdict(True)
+    v = decide(LC, [], pf("P(eps x. P(x)) | P(eps y. P(y)) | P(c)"))
+    assert not v.holds and v.chain_size == 4 and list(v.countervaluation) == ["P(eps x. P(x))", "P(c)"]
 
 
 def test_decide_on_first_order_atoms_agrees_with_letters():
@@ -413,17 +414,18 @@ def test_decide_on_first_order_atoms_agrees_with_letters():
         [*letter_premises, letter_goal], texts = letter_atoms([*premises, goal])
         query = Implies(and_join(premises), goal) if premises else goal
         for logic in logics:
-            ok, counter = decide(logic, premises, goal)
-            letter_ok, letter_counter = decide(logic, letter_premises, letter_goal)
-            assert ok == letter_ok, (logic, query)
-            if ok:
+            v = decide(logic, premises, goal)
+            letter = decide(logic, letter_premises, letter_goal)
+            assert v.holds == letter.holds, (logic, query)
+            if v.holds:
                 continue
-            size, valuation = counter
+            size, valuation = v.chain_size, v.countervaluation
             assert eval_godel(query, valuation, GodelChain(size)) < size - 1
-            assert counter == (letter_counter[0], {texts[a]: v for a, v in letter_counter[1].items()})
+            assert size == letter.chain_size
+            assert valuation == {texts[a]: x for a, x in letter.countervaluation.items()}
             refuted += 1
         for logic in (H, KC):
-            assert decide(logic, premises, goal)[0] == decide(logic, letter_premises, letter_goal)[0]
+            assert decide(logic, premises, goal).holds == decide(logic, letter_premises, letter_goal).holds
     assert refuted >= 100
 
 
@@ -434,14 +436,14 @@ def test_decide_on_first_order_atoms_agrees_with_letters():
 def test_kc_weak_excluded_middle():
     assert verify_judgment(make_judgment(KC, [], pf("~A(c) | ~~A(c)")))
     assert not verify_judgment(make_judgment(H, [], pf("~A(c) | ~~A(c)")))
-    assert decide(KC, [], pf("~(A & B) | ~~(A & B)")) == (True, None)
-    assert decide(KC, [], pf("(A -> B) | (B -> A)")) == (False, None)
-    assert decide(KC, [pf("~B")], pf("~A | ~~A")) == (True, None)
+    assert decide(KC, [], pf("~(A & B) | ~~(A & B)")) == Verdict(True)
+    assert decide(KC, [], pf("(A -> B) | (B -> A)")) == Verdict(False)
+    assert decide(KC, [pf("~B")], pf("~A | ~~A")) == Verdict(True)
 
 
 def test_decide_countermodel_names_first_order_atoms():
-    assert decide(lcm(3), [], pf("P(f(c)) | ~P(f(c))")) == (False, (3, {"P(f(c))": 1}))
-    assert decide(LC, [pf("A(c) -> B(c)")], pf("B(c) | ~A(c)"))[1][0] == 4
+    assert decide(lcm(3), [], pf("P(f(c)) | ~P(f(c))")) == Verdict(False, 3, {"P(f(c))": 1})
+    assert decide(LC, [pf("A(c) -> B(c)")], pf("B(c) | ~A(c)")).chain_size == 4
 
 
 def test_h_kc_agree_with_kripke_models():
@@ -457,7 +459,7 @@ def test_h_kc_agree_with_kripke_models():
         ]
     splits = 0
     for phi in formulas:
-        in_h, in_kc = decide(H, [], phi)[0], decide(KC, [], phi)[0]
+        in_h, in_kc = decide(H, [], phi).holds, decide(KC, [], phi).holds
         assert in_h == kripke_valid(phi, "h"), phi
         assert in_kc == kripke_valid(phi, "kc"), phi
         splits += in_h != in_kc
@@ -468,9 +470,9 @@ def test_identity_axiom_needs_no_backend():
     # a goal disjunct that is top, a premise or a -> a settles the query in
     # every logic before the backend runs, so even budget 0 is enough
     for logic in (CLASSICAL, lcm(5), LC, KC, H):
-        assert semantics.decide(logic, [], pf("(A -> A) | B"), budget=0) == (True, None)
-        assert semantics.decide(logic, [pf("P(a)")], pf("Q | P(a)"), budget=0) == (True, None)
-        assert semantics.decide(logic, [], pf("B | top"), budget=0) == (True, None)
+        assert semantics.decide(logic, [], pf("(A -> A) | B"), budget=0) == Verdict(True)
+        assert semantics.decide(logic, [pf("P(a)")], pf("Q | P(a)"), budget=0) == Verdict(True)
+        assert semantics.decide(logic, [], pf("B | top"), budget=0) == Verdict(True)
     with pytest.raises(semantics.BudgetExceededError):
         semantics.decide(CLASSICAL, [], pf("(A -> B) | B"), budget=0)
 
@@ -483,9 +485,9 @@ def test_prover_takes_a_disjunction_in_one_rule_application():
     qs = [Atom(f"Q{i}", ()) for i in range(n)]
     p, r = Atom("P", ()), Atom("R", ())
     goal = or_join([Implies(p, q) for q in qs])
-    assert decide(H, [qs[7]], goal) == (True, None)
-    assert decide(H, [or_join(qs)], pf("S -> T")) == (False, None)
-    assert decide(H, [Implies(or_join(qs), r)], Implies(qs[5], r)) == (True, None)
+    assert decide(H, [qs[7]], goal) == Verdict(True)
+    assert decide(H, [or_join(qs)], pf("S -> T")) == Verdict(False)
+    assert decide(H, [Implies(or_join(qs), r)], Implies(qs[5], r)) == Verdict(True)
 
 
 def test_h_kc_agree_with_kripke_models_on_wide_disjunctions():
@@ -497,8 +499,8 @@ def test_h_kc_agree_with_kripke_models_on_wide_disjunctions():
         wide = or_join(parts) if rng.random() < 0.5 else Or(Or(parts[0], parts[1]), or_join(parts[2:]))
         h = random_prop_formula(rng, 2, atoms)
         for phi in (wide, Implies(wide, h), Implies(Implies(wide, h), h)):
-            in_h = decide(H, [], phi)[0]
+            in_h = decide(H, [], phi).holds
             assert in_h == kripke_valid(phi, "h"), phi
-            assert decide(KC, [], phi)[0] == kripke_valid(phi, "kc"), phi
+            assert decide(KC, [], phi).holds == kripke_valid(phi, "kc"), phi
             answers.add(in_h)
     assert answers == {True, False}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epsitau.judgments import CLASSICAL
-from epsitau.semantics import decide
+from epsitau.semantics import Verdict, decide
 from epsitau.syntax import (
     App,
     Atom,
@@ -258,6 +258,7 @@ def test_long_disjunction_needs_no_recursion():
     closed = subst_term(goal, e, ts[0])  # closes the chain into a cycle
     assert not contains_etau(closed) and is_quantifier_free(closed)
     assert to_text(closed).endswith(" | (A(c4999) -> A(c0))")
-    assert decide(CLASSICAL, [], goal) == decide(CLASSICAL, [], closed) == (True, None)
-    ok, (size, counter) = decide(CLASSICAL, [closed], Atom("B"))
-    assert not ok and size == 2 and len(counter) == n + 1 and counter["B"] == 0
+    assert decide(CLASSICAL, [], goal) == decide(CLASSICAL, [], closed) == Verdict(True)
+    v = decide(CLASSICAL, [closed], Atom("B"))
+    assert not v.holds and v.chain_size == 2
+    assert len(v.countervaluation) == n + 1 and v.countervaluation["B"] == 0
