@@ -2,10 +2,12 @@
 
 Chain validity is decided by a regular (order) CNF encoding handed to the
 conflict-driven SAT solver in sat.py, whose effort is bounded by a budget
-on literal assignments.  Intuitionistic consequence is decided by a
-terminating contraction-free sequent search; KC adds weak excluded middle
-on the query's atoms.  Every backend takes the first-order atoms of a
-quantifier-free query, one per alpha-class, as its propositional variables.
+on literal assignments.  For H and KC a classical refutation comes first
+and is a one-world Kripke model; a classically valid query goes to a
+terminating contraction-free sequent search for intuitionistic consequence,
+and KC adds weak excluded middle on the query's atoms.  Every backend takes
+the first-order atoms of a quantifier-free query, one per alpha-class, as
+its propositional variables.
 decide is the only place a logic meets its backend.  It answers with a
 Verdict, and Verdict.describe turns every failure into text.  schema builds
 every schema instance, and proves is the one table of which logic proves
@@ -479,11 +481,15 @@ def decide(
     decide the one query and_join(premises) -> goal, or the goal alone without
     premises, on the 2-chain, the N-chain and the chain of (atom count + 2)
     values; a failure carries the chain size and a countervaluation keyed by
-    atom text.  H uses the intuitionistic prover.  KC is H plus weak excluded
-    middle ~a | ~~a for each atom a of the query: H derives ~psi | ~~psi for
+    atom text.  H and KC lie inside classical logic, so a classical refutation
+    comes first and is a one-world Kripke model: it answers invalid with its
+    2-chain countervaluation.  A classically valid query, or one whose
+    classical check runs out of budget, goes to the intuitionistic prover,
+    which answers without a countermodel.  KC is H plus weak excluded middle
+    ~a | ~~a for each atom a of the query: H derives ~psi | ~~psi for
     compound psi from the instances for its atoms, and an instance over a
-    foreign atom turns into one over top.  The prover gives no countermodel.
-    A query that holds by the identity axiom is answered before any of this.
+    foreign atom turns into one over top.  A query that holds by the identity
+    axiom is answered before any of this.
     """
     for f in (*premises, goal):
         if not is_quantifier_free(f):
@@ -492,10 +498,14 @@ def decide(
         return Verdict(True)
     query = Implies(and_join(premises), goal) if premises else goal
     match logic.kind:
-        case "h":
-            return Verdict(prove_H(premises, goal))
-        case "kc":
-            wem = [Or(Not(a), Not(Not(a))) for a in prop_atoms(query)]
+        case "h" | "kc":
+            try:
+                ok, counter = valid_in_LCm(query, 2, budget)
+            except BudgetExceededError:
+                ok = True  # the prover answers, so the answer never depends on the budget
+            if not ok:
+                return Verdict(False, 2, counter)
+            wem = [Or(Not(a), Not(Not(a))) for a in prop_atoms(query)] if logic.kind == "kc" else []
             return Verdict(prove_H([*premises, *wem], goal))
         case "classical" | "lcm" | "lc":
             size = 2 if logic.kind == "classical" else logic.m or lc_chain_size(query)

@@ -10,7 +10,7 @@ from epsitau import semantics
 from epsitau.cli import main
 
 from helpers import grid_judgment, refutes, weak_lin_negative_judgment
-from epsitau.judgments import dump_judgment, lcm, load_judgment, make_judgment
+from epsitau.judgments import H, KC, dump_judgment, lcm, load_judgment, make_judgment
 from epsitau.parser import parse_formula
 
 
@@ -329,6 +329,37 @@ def test_check_prints_the_verdict_description(capsys):
     assert code == 1 and out.splitlines() == ["invalid in lc3", *lines]
     code, out, _ = run_cli(capsys, "--format", "json", "check", "--logic", "lc3", "A | ~A")
     assert code == 1 and json.loads(out) == {"logic": "lc3", "valid": False, **keys}
+
+
+@pytest.mark.parametrize("logic", [H, KC], ids=["h", "kc"])
+def test_check_prints_the_classical_refutation_on_h_and_kc(capsys, logic):
+    lines, keys = _described(semantics.decide(logic, [], parse_formula("A | B")), logic)
+    assert keys == {"chain_size": 2, "countervaluation": {"A": 0, "B": 0}}
+    code, out, _ = run_cli(capsys, "check", "--logic", str(logic), "A | B")
+    assert code == 1 and out.splitlines() == [f"invalid in {logic}", *lines]
+    code, out, _ = run_cli(capsys, "--format", "json", "check", "--logic", str(logic), "A | B")
+    assert code == 1 and json.loads(out) == {"logic": str(logic), "valid": False, **keys}
+
+
+@pytest.mark.parametrize("logic", ["h", "kc"])
+def test_h_kc_check_ignores_the_budget(capsys, logic):
+    # the prover answers when the classical check runs out of budget
+    code, out, err = run_cli(capsys, "--budget", "0", "check", "--logic", logic, "(A -> B) | B")
+    assert (code, out, err) == (1, f"invalid in {logic}\n", "")
+
+
+def test_eliminate_error_on_kc_carries_the_classical_refutation(tmp_path, capsys):
+    path = tmp_path / "refuted.judgment"
+    path.write_text(
+        "logic: kc\ncritical: A(u) -> A(eps x. A(x))\ninstance: P\n"
+        "goal: ~~(A(u) -> A(eps x. A(x)))\n"
+    )
+    code, out, err = run_cli(capsys, "eliminate", str(path), "--driver", "jankov", "--verify", "steps")
+    assert code == 1 and out == ""
+    assert err == (
+        "verification failed: input judgment: instance P is not a theorem of kc: "
+        "countervaluation on the 2-chain: {'P': 0}\n"
+    )
 
 
 @pytest.mark.parametrize(

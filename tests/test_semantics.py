@@ -486,8 +486,59 @@ def test_prover_takes_a_disjunction_in_one_rule_application():
     p, r = Atom("P", ()), Atom("R", ())
     goal = or_join([Implies(p, q) for q in qs])
     assert decide(H, [qs[7]], goal) == Verdict(True)
-    assert decide(H, [or_join(qs)], pf("S -> T")) == Verdict(False)
+    assert prove_H([or_join(qs)], pf("S -> T")) is False
+    assert decide(H, [or_join(qs)], pf("S -> T")).chain_size == 2
     assert decide(H, [Implies(or_join(qs), r)], Implies(qs[5], r)) == Verdict(True)
+
+
+def test_h_kc_refute_classically_before_the_prover(monkeypatch):
+    # a classical countervaluation is a one-world Kripke model, so it refutes
+    # the query in H and in KC, and the prover is not asked
+    def no_prover(*_):
+        raise AssertionError("the prover was asked")
+
+    monkeypatch.setattr(semantics, "prove_H", no_prover)
+    assert decide(H, [pf("A -> B")], pf("B -> A")) == Verdict(False, 2, {"B": 1, "A": 0})
+    assert decide(KC, [], pf("A | B")) == Verdict(False, 2, {"A": 0, "B": 0})
+
+
+@pytest.mark.parametrize(
+    "logic, text",
+    [
+        (H, "A | ~A"),
+        (H, "~A | ~~A"),
+        (H, "((A -> B) -> A) -> A"),
+        (H, "(A -> B) | (B -> A)"),
+        (KC, "(A -> B) | (B -> A)"),
+    ],
+)
+def test_classically_valid_h_kc_invalid_queries_reach_the_prover(logic, text):
+    assert decide(logic, [], pf(text)) == Verdict(False)
+
+
+def test_h_kc_agree_with_kripke_models_on_queries_with_premises():
+    # every countervaluation refutes the query on the 2-chain, that is in a
+    # one-world Kripke model; 2-3 atoms keep the 4-world enumeration fast
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(300):
+        atoms = ["A", "B", "C"][: rng.randint(2, 3)]
+        premises = [random_prop_formula(rng, 2, atoms) for _ in range(rng.randint(1, 2))]
+        goal = random_prop_formula(rng, 2, atoms)
+        query = Implies(and_join(premises), goal)
+        for logic in (H, KC):
+            verdict = decide(logic, premises, goal)
+            assert verdict.holds == kripke_valid(query, logic.kind), (logic, query)
+            if verdict.countervaluation is not None:
+                assert verdict.chain_size == 2 and refutes(query, verdict.countervaluation, 2)
+            seen.add((verdict.holds, verdict.countervaluation is not None))
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
+def test_h_kc_answer_never_depends_on_the_budget():
+    # a classical check that runs out of budget falls through to the prover
+    for logic in (H, KC):
+        assert decide(logic, [], pf("(A -> B) | B"), budget=0) == Verdict(False)
 
 
 def test_h_kc_agree_with_kripke_models_on_wide_disjunctions():
