@@ -69,18 +69,19 @@ def cmd_verify(args) -> int:
 
 
 def _trace_lines(trace: elim.EliminationTrace) -> list[str]:
+    memo: dict = {}  # one text memo for the trace; see syntax.to_text
     lines = []
     for i, st in enumerate(trace.steps, start=1):
-        lines.append(f"step {i}: eliminate {to_text(st.target)}")
-        lines.append(f"  set: {', '.join(to_text(t) for t in st.elimination_set)}")
+        lines.append(f"step {i}: eliminate {to_text(st.target, memo)}")
+        lines.append(f"  set: {', '.join(to_text(t, memo) for t in st.elimination_set)}")
         for f in st.eliminated:
-            lines.append(f"  removed: {to_text(f)}")
-        for f in st.axiom_instances_used:
-            lines.append(f"  instance: {to_text(f)}")
-        lines.append(f"  goal: {to_text(st.after.goal)}")
+            lines.append(f"  removed: {to_text(f, memo)}")
+        for f in st.after.instances:
+            lines.append(f"  instance: {to_text(f, memo)}")
+        lines.append(f"  goal: {to_text(st.after.goal, memo)}")
     for t, name in trace.grounding:
-        lines.append(f"ground {to_text(t)} as {name}")
-    lines.append(f"result: {to_text(trace.result)}")
+        lines.append(f"ground {to_text(t, memo)} as {name}")
+    lines.append(f"result: {to_text(trace.result, memo)}")
     return lines
 
 

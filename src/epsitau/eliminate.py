@@ -43,6 +43,7 @@ from .syntax import (
     etau_subterms,
     free_vars,
     instantiate,
+    interned,
     match_holes,
     or_join,
     or_spine,
@@ -443,7 +444,9 @@ def run_elimination(
     step's instances are certified by their schema-table row where it builds
     them (see _step), so none reaches the backend.  A run ending in a failure
     report sends only the input query.  A failed check raises
-    EliminationError.  The loop builds its nodes in one sharing scope.
+    EliminationError.  The loop builds its nodes in one sharing scope, and
+    the input judgment is rebuilt in it first, so that separately parsed
+    copies of a term are one node.
     """
     if verify not in VERIFY_LEVELS:
         raise ValueError(f"unknown verify level {verify!r} (use {', '.join(VERIFY_LEVELS)})")
@@ -456,6 +459,12 @@ def run_elimination(
     given = j
     steps: list[EliminationStep] = []
     with sharing():
+        j = Judgment(
+            j.logic,
+            tuple(map(interned, j.criticals)),
+            tuple(map(interned, j.instances)),
+            interned(j.goal),
+        )
         readings = judgment_readings(j)
         while readings:
             e = first if not steps and first in readings else select_max(list(readings))
@@ -674,21 +683,22 @@ def theorem_form_convert(
 
 
 def trace_to_json(trace: EliminationTrace, logic: Logic) -> str:
+    memo: dict = {}  # one text memo for the document; see syntax.to_text
     doc = {
         "version": 1,
         "logic": str(logic),
         "steps": [
             {
-                "target": to_text(st.target),
-                "eliminated": [to_text(f) for f in st.eliminated],
-                "elimination_set": [to_text(t) for t in st.elimination_set],
-                "axiom_instances": [to_text(f) for f in st.axiom_instances_used],
-                "goal_after": to_text(st.after.goal),
+                "target": to_text(st.target, memo),
+                "eliminated": [to_text(f, memo) for f in st.eliminated],
+                "elimination_set": [to_text(t, memo) for t in st.elimination_set],
+                "axiom_instances": [to_text(f, memo) for f in st.after.instances],
+                "goal_after": to_text(st.after.goal, memo),
             }
             for st in trace.steps
         ],
-        "result": to_text(trace.result),
-        "grounding": {to_text(t): name for t, name in trace.grounding},
+        "result": to_text(trace.result, memo),
+        "grounding": {to_text(t, memo): name for t, name in trace.grounding},
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 

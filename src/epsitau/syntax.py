@@ -18,7 +18,10 @@ intern table belongs to the outermost open scope and is dropped when it
 closes (each elimination run opens one), so it never outgrows one run.
 Walkers keep an explicit stack and visit each distinct node once, so their
 cost follows the distinct nodes, not the tree, and no walker recurses along
-a long disjunction.
+a long disjunction.  The printer, too, renders each shared term and atom
+once: within one ``to_text`` call, or within one output whose caller passes
+the same text memo to every call.  That memo is keyed by the printed
+formula's free variables, then by node id, and lives for that output only.
 """
 
 from __future__ import annotations
@@ -362,6 +365,29 @@ def sharing() -> Iterator[None]:
         _table = None
 
 
+def interned(obj: Obj) -> Obj:
+    """obj with every node replaced by the equal one of the open sharing scope.
+
+    Rebuilds bottom-up, so that nodes built before the scope opened, such
+    as separately parsed copies of one term, become one node.  Outside
+    every scope obj is returned as it is.
+    """
+    if _table is None:
+        return obj
+    done: dict[int, _Node] = {}
+    stack = [(obj, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            kids = node._kids()
+            new = tuple([done[id(k)] for k in kids])
+            done[id(node)] = _intern(node) if all(map(operator.is_, new, kids)) else node._with(new)
+        elif id(node) not in done:
+            stack.append((node, True))
+            stack += [(k, False) for k in node._kids()]
+    return done[id(obj)]
+
+
 # ---------------------------------------------------------------------------
 # Walkers
 
@@ -684,19 +710,19 @@ def _pick_name(hint: str, avoid: set[str]) -> str:
     return name
 
 
-def _fmt(obj: Obj, canonical: bool) -> str:
+def _fmt(obj: Obj, canonical: bool, memo: dict[int, str]) -> str:
     """Render obj with an explicit work stack of nodes and literal pieces.
 
     A chain of one infix connective nested to the right is printed in one
     pass, its operands joined by the connective, so neither the stack nor
-    the string work grows with re-printing the spine.  Terms and atoms
-    outside every binder print the same wherever they occur, so a shared
-    one is rendered once.
+    the string work grows with re-printing the spine.  A term or atom
+    outside every binder prints the same wherever it occurs in obj: its
+    binder names avoid only obj's free variables.  So its text is kept in
+    ``memo`` by node id, and a shared one is rendered once.
     """
     out: list[str] = []
     env: list[str] = []  # binder names, innermost last
     avoid = set(obj._fv)
-    memo: dict[int, str] = {}
     work: list = [(obj, 0)]
     while work:
         item = work.pop()
@@ -766,14 +792,23 @@ def _fmt(obj: Obj, canonical: bool) -> str:
     return "".join(out)
 
 
-def to_text(obj: Obj) -> str:
-    """Render in the surface grammar; parsing the result gives back obj."""
-    return _fmt(obj, canonical=False)
+def to_text(obj: Obj, memo: dict | None = None) -> str:
+    """Render in the surface grammar; parsing the result gives back obj.
+
+    A caller printing many formulas over shared nodes, such as an
+    elimination trace, passes one ``memo`` (an empty dict to start) to
+    every call of one output, and each shared term and atom outside every
+    binder is rendered once in that output.  The memo is keyed by the
+    printed formula's free variables, which the binder names avoid, and
+    then by node id: it must live for that output only, while every
+    printed node is alive.  Without a memo the text is kept for one call.
+    """
+    return _fmt(obj, False, {} if memo is None else memo.setdefault(obj._fv, {}))
 
 
 def canonical_text(obj: Obj) -> str:
     """Hint-independent rendering, used for deterministic ordering."""
-    return _fmt(obj, canonical=True)
+    return _fmt(obj, True, {})
 
 
 # ---------------------------------------------------------------------------

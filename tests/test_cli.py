@@ -9,7 +9,7 @@ import pytest
 from epsitau import semantics
 from epsitau.cli import main
 
-from helpers import grid_judgment, refutes, weak_lin_negative_judgment
+from helpers import grid_judgment, lc3_worked_judgment, refutes, weak_lin_negative_judgment
 from epsitau.judgments import H, KC, dump_judgment, lcm, load_judgment, make_judgment
 from epsitau.parser import parse_formula
 
@@ -431,3 +431,19 @@ def test_prover_recursion_limit_is_not_an_invalid_answer():
     assert "Traceback" not in run.stderr
     if run.returncode == 2:
         assert run.stderr.startswith("error: ") and len(run.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "golden, judgment, verify",
+    [
+        ("lc3_worked_trace.txt", lc3_worked_judgment, "full"),
+        ("grid_lc4_k2_trace.txt", lambda: grid_judgment("lc4", 2), "none"),
+    ],
+    ids=["lc3-worked", "grid-lc4-k2"],
+)
+def test_eliminate_text_trace_matches_golden(capsys, tmp_path, golden, judgment, verify):
+    path = tmp_path / "judgment.txt"
+    path.write_text(dump_judgment(judgment()))
+    code, out, err = run_cli(capsys, "eliminate", str(path), "--verify", verify)
+    expected = (Path(__file__).parent / "golden" / golden).read_bytes()
+    assert (code, out.encode(), err) == (0, expected, "")

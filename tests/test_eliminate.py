@@ -33,7 +33,7 @@ from epsitau.judgments import CLASSICAL, H, KC, LC, lcm, make_judgment
 from epsitau.parser import parse_formula as pf, parse_term as pt
 from epsitau.semantics import verify_judgment
 from epsitau.critical import is_predicative
-from epsitau.syntax import Implies, Not, contains_etau, or_spine, to_text
+from epsitau.syntax import Eps, Implies, Not, contains_etau, or_spine, subterms, to_text
 
 from helpers import (
     chain_witness_judgment,
@@ -766,6 +766,36 @@ def test_trace_json_golden(tmp_path):
     doc = trace_to_json(trace, j.logic)
     golden = Path(__file__).parent / "golden" / "chain_witness_trace.json"
     assert json.loads(doc) == json.loads(golden.read_text())
+
+
+def test_text_memo_prints_each_step_as_plain_printing():
+    # every formula and term of a run, printed through one memo in trace
+    # order, reads as it does printed alone
+    rng = random.Random(19)
+    for logic in (CLASSICAL, lcm(2), lcm(3)):
+        for _ in range(8):
+            objs = []
+
+            def note(st):
+                objs.extend([st.target, *st.elimination_set, *st.eliminated])
+                objs.extend([*st.after.criticals, *st.after.instances, st.after.goal])
+
+            trace = run_elimination(random_classical_judgment(rng, logic), on_step=note)
+            objs.append(trace.result)
+            memo: dict = {}
+            assert [to_text(o, memo) for o in objs] == [to_text(o) for o in objs]
+
+
+def test_run_rebuilds_its_input_in_the_sharing_scope():
+    # the parser builds a copy of eps x. A(x) for each occurrence; the run's
+    # first judgment holds one
+    def eps_nodes(j):
+        return {id(t) for f in (*j.criticals, j.goal) for t in subterms(f) if isinstance(t, Eps)}
+
+    j = lc3_worked_judgment()
+    assert len(eps_nodes(j)) > 1
+    first = run_elimination(j).steps[0].before
+    assert first == j and len(eps_nodes(first)) == 1
 
 
 def test_trace_json_deterministic():

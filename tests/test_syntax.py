@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from epsitau.judgments import CLASSICAL
 from epsitau.semantics import Verdict, decide
 from epsitau.syntax import (
+    And,
     App,
     Atom,
     Implies,
@@ -25,6 +26,7 @@ from epsitau.syntax import (
     sharing,
     subst_term,
     subst_var,
+    tau,
     to_text,
 )
 from epsitau.translate import et_translate
@@ -262,3 +264,38 @@ def test_long_disjunction_needs_no_recursion():
     v = decide(CLASSICAL, [closed], Atom("B"))
     assert not v.holds and v.chain_size == 2
     assert len(v.countervaluation) == n + 1 and v.countervaluation["B"] == 0
+
+
+# ---------------------------------------------------------------------------
+# One text memo per output
+
+
+def _through_one_memo(objs):
+    memo: dict = {}
+    return [to_text(o, memo) for o in objs]
+
+
+def test_text_memo_keys_binder_names_by_the_free_variables():
+    # the one node B(eps x. A(x)) renames its binder apart from the free x of
+    # the first formula, and only there
+    b = Atom("B", (eps("x", pf("A(x)")),))
+    fs = [Implies(pf("A(x)"), b), Implies(pf("C(y)"), b), b]
+    texts = ["A(x) -> B(eps x'. A(x'))", "C(y) -> B(eps x. A(x))", "B(eps x. A(x))"]
+    assert _through_one_memo(fs) == [to_text(f) for f in fs] == texts
+    t = tau("y", pf("B(y)"))
+    gs = [And(pf("B(y)"), Atom("A", (t,))), Atom("A", (t,)), t]
+    texts = ["B(y) & A(tau y'. B(y'))", "A(tau y. B(y))", "tau y. B(y)"]
+    assert _through_one_memo(gs) == [to_text(g) for g in gs] == texts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_text_memo_prints_shared_nodes_as_plain_printing(seed):
+    # built in one scope, the formulas share their equal subterms and atoms,
+    # and the implications over them have other free variables
+    rng = random.Random(seed)
+    with sharing():
+        pool = [random_formula(rng, 3, rng.sample(["x", "y", "z"], rng.randint(0, 2))) for _ in range(6)]
+        objs = pool + [Implies(rng.choice(pool), rng.choice(pool)) for _ in range(6)]
+    rng.shuffle(objs)
+    assert _through_one_memo(objs) == [to_text(o) for o in objs]
