@@ -87,10 +87,14 @@ class EliminationStep:
     target: Term
     eliminated: tuple[Formula, ...]
     elimination_set: tuple[Term, ...]
-    axiom_instances_used: tuple[Formula, ...]
     before: Judgment
     after: Judgment
     raw_disjunct_count: int
+
+    @property
+    def axiom_instances_used(self) -> tuple[Formula, ...]:
+        """The instances the step records, the same tuple as after.instances (the older name)."""
+        return self.after.instances
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,7 +215,6 @@ def _step(
         target=e,
         eliminated=tuple(f for f, _ in taken),
         elimination_set=tuple(elim_set),
-        axiom_instances_used=instances,
         before=j,
         after=Judgment(j.logic, criticals, instances, goal),
         raw_disjunct_count=raw,
@@ -419,7 +422,6 @@ def run_elimination(
     j: Judgment,
     verify: str = "none",
     budget: int = semantics.DEFAULT_BUDGET,
-    on_step: Callable[[EliminationStep], None] | None = None,
     *,
     driver: str = "hb",
     first: Term | None = None,
@@ -485,9 +487,6 @@ def run_elimination(
                 new_steps = [eliminate_complete_classical(j, e)]
             else:
                 new_steps = eliminate_complete_Gm(j, e, j.logic.m)
-            if on_step is not None:
-                for st in new_steps:
-                    on_step(st)
             steps.extend(new_steps)
             j = new_steps[-1].after
             if driver == "jankov":

@@ -19,7 +19,7 @@ so only instances from outside a run are decided, by verify_judgment.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .judgments import Judgment, Logic
 from .sat import BudgetExceededError, solve
@@ -41,6 +41,7 @@ from .syntax import (
     or_spine,
     sharing,
     to_text,
+    transform,
 )
 
 DEFAULT_BUDGET = 20_000_000
@@ -124,23 +125,36 @@ def eval_godel(phi: Formula, valuation: Valuation, chain: GodelChain) -> int:
 
 
 def _godel_value(phi: Formula, values: dict[Formula, int], top: int) -> int:
-    match phi:
-        case Atom():
-            return values[phi]
-        case Top():
-            return top
-        case Bot():
-            return 0
-        case Not(sub):
-            return top if _godel_value(sub, values, top) == 0 else 0
-        case And(a, b):
-            return min(_godel_value(a, values, top), _godel_value(b, values, top))
-        case Or(a, b):
-            return max(_godel_value(a, values, top), _godel_value(b, values, top))
-        case Implies(a, b):
-            va, vb = _godel_value(a, values, top), _godel_value(b, values, top)
-            return top if va <= vb else vb
-    raise ValueError(f"not a propositional formula: {to_text(phi)}")
+    def build(f: Formula, vs: tuple[int, ...]) -> int:
+        match f:
+            case Not():
+                return top if vs[0] == 0 else 0
+            case And():
+                return min(vs)
+            case Or():
+                return max(vs)
+        return top if vs[0] <= vs[1] else vs[1]
+
+    return transform(phi, _prop_leaf(values.__getitem__, top, 0), build)
+
+
+def _prop_leaf(atom: Callable[[Formula], object], top: object, bot: object) -> Callable:
+    """A transform leaf for a quantifier-free formula.
+
+    An atom f is worth atom(f), top and bot are worth the values given, and
+    a connective is built from its operands.  Anything else is refused.
+    """
+
+    def leaf(f: Formula, depth: int) -> object:
+        if isinstance(f, Atom):
+            return atom(f)
+        if isinstance(f, (Not, And, Or, Implies)):
+            return None
+        if f is TOP or f is BOT:
+            return top if f is TOP else bot
+        raise ValueError(f"not a propositional formula: {to_text(f)}")
+
+    return leaf
 
 
 Levels = tuple[int, ...]
@@ -154,71 +168,56 @@ def _order_encode(
     Every subformula psi gets literals x[psi, k] for k = 1..m-1 that stand
     for v(psi) >= k; equal subformulas share them.  Variable 1 is constantly
     true.  Returns the variable count, the clauses, each atom's level
-    variables and the root's level literals.  The walk uses an explicit
-    stack, because the Herbrand disjunctions nest close to the
-    interpreter's recursion limit.
+    variables and the root's level literals.  One syntax.transform fold
+    makes the literals, each node's after its children's, so the deep
+    Herbrand disjunctions need no recursion.
     """
     top = m - 1
     nvars = 1
     clauses: list[list[int]] = [[1]]
     atoms: dict[Formula, list[int]] = {}
     shared: dict[tuple, Levels] = {}
-    lits_of: dict[int, Levels] = {}  # id(node) -> level literals
 
     def fresh() -> list[int]:
         nonlocal nvars
         nvars += top
         return list(range(nvars - top + 1, nvars + 1))
 
-    stack = [phi]  # a node is built once both children are; none is pushed twice
-    while stack:
-        f = stack[-1]
-        match f:
-            case Not(a) | And(a, _) | Or(a, _) | Implies(a, _) if id(a) not in lits_of:
-                stack.append(a)
-                continue
-            case And(_, b) | Or(_, b) | Implies(_, b) if id(b) not in lits_of:
-                stack.append(b)
-                continue
-            case Atom():
-                xs = atoms.get(f)
-                if xs is None:
-                    xs = atoms[f] = fresh()
-                    clauses += [[-xs[k + 1], xs[k]] for k in range(top - 1)]
-                lits = tuple(xs)
-            case Top():
-                lits = (1,) * top
-            case Bot():
-                lits = (-1,) * top
-            case Not(a):
-                lits = (-lits_of[id(a)][0],) * top
-            case And(a, b) | Or(a, b) | Implies(a, b):
-                la, lb = lits_of[id(a)], lits_of[id(b)]
-                key = (type(f), la, lb)
-                hit = shared.get(key)
-                if hit is None:
-                    xs = fresh()
-                    if isinstance(f, Implies):
-                        # le <-> v(a) <= v(b): le forces a_k -> b_k at every level, and
-                        # not le forces b_k -> a_(k+1) for k = 0..m-1 (b_0 true, a_m
-                        # false).  Then v(a -> b) >= k iff v(b) >= k or le.
-                        nvars += 1
-                        le = nvars
-                        clauses += [[-le, -p, q] for p, q in zip(la, lb)]
-                        clauses += [[le, -q, p] for q, p in zip((1,) + lb, la + (-1,))]
-                        for x, q in zip(xs, lb):
-                            clauses += [[x, -q], [x, -le], [-x, q, le]]
-                    else:
-                        s = 1 if isinstance(f, And) else -1  # a | b is dual to a & b
-                        for x, p, q in zip(xs, la, lb):
-                            clauses += [[-s * x, s * p], [-s * x, s * q], [s * x, -s * p, -s * q]]
-                    hit = shared[key] = tuple(xs)
-                lits = hit
-            case _:
-                raise ValueError(f"not a propositional formula: {to_text(f)}")
-        stack.pop()
-        lits_of[id(f)] = lits
-    return nvars, clauses, atoms, lits_of[id(phi)]
+    def atom(f: Formula) -> Levels:
+        xs = atoms.get(f)
+        if xs is None:
+            xs = atoms[f] = fresh()
+            clauses.extend([-xs[k + 1], xs[k]] for k in range(top - 1))
+        return tuple(xs)
+
+    def build(f: Formula, kids: tuple[Levels, ...]) -> Levels:
+        nonlocal nvars
+        if isinstance(f, Not):
+            return (-kids[0][0],) * top
+        la, lb = kids
+        key = (type(f), la, lb)
+        hit = shared.get(key)
+        if hit is None:
+            xs = fresh()
+            if isinstance(f, Implies):
+                # le <-> v(a) <= v(b): le forces a_k -> b_k at every level, and
+                # not le forces b_k -> a_(k+1) for k = 0..m-1 (b_0 true, a_m
+                # false).  Then v(a -> b) >= k iff v(b) >= k or le.
+                nvars += 1
+                le = nvars
+                clauses.extend([-le, -p, q] for p, q in zip(la, lb))
+                clauses.extend([le, -q, p] for q, p in zip((1,) + lb, la + (-1,)))
+                for x, q in zip(xs, lb):
+                    clauses.extend(([x, -q], [x, -le], [-x, q, le]))
+            else:
+                s = 1 if isinstance(f, And) else -1  # a | b is dual to a & b
+                for x, p, q in zip(xs, la, lb):
+                    clauses.extend(([-s * x, s * p], [-s * x, s * q], [s * x, -s * p, -s * q]))
+            hit = shared[key] = tuple(xs)
+        return hit
+
+    root = transform(phi, _prop_leaf(atom, (1,) * top, (-1,) * top), build)
+    return nvars, clauses, atoms, root
 
 
 def valid_in_LCm(
@@ -361,23 +360,22 @@ def proves(logic: Logic, kind: str, arity: int) -> bool:
 
 
 def _norm(phi: Formula) -> Formula:
-    """Rewrite ~A to A -> bot, the prover's one negation form, through an explicit stack."""
-    done: dict[int, Formula] = {}  # id(node) -> its rewrite, made after its children's
-    stack = [phi]
-    while stack:
-        f = stack[-1]
-        kids = f._kids() if isinstance(f, (Not, And, Or, Implies)) else ()
-        if todo := [k for k in kids if id(k) not in done]:
-            stack += todo
-            continue
-        stack.pop()
-        if isinstance(f, Atom):  # interned, so equal formulas end up with the same kids
-            done[id(f)] = Atom(f.pred, f.args)
-        elif isinstance(f, Not):
-            done[id(f)] = Implies(done[id(f.sub)], BOT)
-        else:
-            done[id(f)] = type(f)(*(done[id(k)] for k in kids)) if kids else f
-    return done[id(phi)]
+    """Rewrite ~A to A -> bot, the prover's one negation form.
+
+    Every node is built again, so in the prover's sharing scope equal
+    formulas become one node.
+    """
+    return transform(phi, _norm_leaf, _norm_build)
+
+
+def _norm_leaf(f: Formula, depth: int) -> Formula | None:
+    if isinstance(f, Atom):
+        return Atom(f.pred, f.args)
+    return None if isinstance(f, (Not, And, Or, Implies)) else f
+
+
+def _norm_build(f: Formula, kids: tuple[Formula, ...]) -> Formula:
+    return Implies(kids[0], BOT) if isinstance(f, Not) else f._with(kids)
 
 
 # Memo of one top-level query; prove_H empties it when the query returns.

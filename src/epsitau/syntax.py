@@ -16,12 +16,14 @@ escape.  The queries read those facts instead of walking.  Inside a
 already built in the scope, binder names included, *is* that node.  The
 intern table belongs to the outermost open scope and is dropped when it
 closes (each elimination run opens one), so it never outgrows one run.
-Walkers keep an explicit stack and visit each distinct node once, so their
-cost follows the distinct nodes, not the tree, and no walker recurses along
-a long disjunction.  The printer, too, renders each shared term and atom
-once: within one ``to_text`` call, or within one output whose caller passes
-the same text memo to every call.  That memo is keyed by the printed
-formula's free variables, then by node id, and lives for that output only.
+Two walkers keep an explicit stack and visit each distinct node once, so
+their cost follows the distinct nodes, not the tree, and neither recurses
+along a long disjunction: transform goes bottom-up and rewrites a node or
+folds it into a value from its children's, and _nodes visits in pre-order.
+The printer, too, renders each shared term and atom once: within one
+``to_text`` call, or within one output whose caller passes the same text
+memo to every call.  That memo is keyed by the printed formula's free
+variables, then by node id, and lives for that output only.
 """
 
 from __future__ import annotations
@@ -374,18 +376,7 @@ def interned(obj: Obj) -> Obj:
     """
     if _table is None:
         return obj
-    done: dict[int, _Node] = {}
-    stack = [(obj, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            kids = node._kids()
-            new = tuple([done[id(k)] for k in kids])
-            done[id(node)] = _intern(node) if all(map(operator.is_, new, kids)) else node._with(new)
-        elif id(node) not in done:
-            stack.append((node, True))
-            stack += [(k, False) for k in node._kids()]
-    return done[id(obj)]
+    return transform(obj, lambda node, depth: None, lambda node, kids: _intern(rebuild(node, kids)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +402,22 @@ def _nodes(obj: Obj, descend: Callable[[_Node], object] | None = None) -> Iterat
             stack += reversed(node._kids())
 
 
-def transform(obj: Obj, leaf: Callable[[_Node, int], Obj | None]) -> Obj:
-    """Rebuild obj bottom-up through an explicit stack.
+def rebuild(node: _Node, kids: tuple) -> _Node:
+    """node over the given children; node itself when none of them changed."""
+    return node if all(map(operator.is_, kids, node._kids())) else node._with(kids)
 
-    ``leaf(node, depth)`` is node's replacement, or None to rebuild node from
-    its rewritten children; depth counts the binders between obj and node.
-    Each distinct (node, depth) is rewritten once in a call, and a node whose
-    children all come back unchanged is kept.
+
+def transform(
+    obj: Obj, leaf: Callable[[_Node, int], object], build: Callable[[_Node, tuple], object] = rebuild
+) -> object:
+    """Fold obj bottom-up through an explicit stack: rewrite it, or compute a value.
+
+    ``leaf(node, depth)`` is node's value, or None to make it from its
+    children's: then ``build(node, values)`` gets their values, in order.
+    depth counts the binders between obj and node.  The default build
+    rebuilds node from its rewritten children and keeps node when they all
+    come back unchanged, so transform rewrites obj.  Each distinct
+    (node, depth) gets its value once in a call.
     """
     done: dict = {}  # id(node) at depth 0, (id(node), depth) below binders
     stack = [(obj, 0, False)]
@@ -425,10 +425,9 @@ def transform(obj: Obj, leaf: Callable[[_Node, int], Obj | None]) -> Obj:
         node, depth, ready = stack.pop()
         key = (id(node), depth) if depth else id(node)
         inner = depth + 1 if isinstance(node, _Binder) else depth
-        if ready:  # every child is rewritten
-            kids = node._kids()
-            new = tuple([done[(id(k), inner) if inner else id(k)] for k in kids])
-            done[key] = node if all(map(operator.is_, new, kids)) else node._with(new)
+        if ready:  # every child has its value
+            kids = tuple([done[(id(k), inner) if inner else id(k)] for k in node._kids()])
+            done[key] = build(node, kids)
         elif key not in done:
             out = leaf(node, depth)
             if out is not None:
@@ -823,24 +822,24 @@ class Symbol:
 
 
 class Signature:
-    """Declared symbols plus a fresh-name source that never collides with them."""
+    """Declared symbols plus a fresh-name source that never collides with them.
+
+    A name may be declared at several arities: grounding and Skolemizing
+    need only the names to avoid.
+    """
 
     def __init__(self) -> None:
-        self._arities: dict[tuple[str, str], int] = {}
+        self._symbols: set[Symbol] = set()
         self._names: set[str] = set()
 
     def declare(self, name: str, arity: int, kind: str) -> Symbol:
-        key = (kind, name)
-        if key in self._arities and self._arities[key] != arity:
-            raise ValueError(
-                f"{kind} {name!r} redeclared with arity {arity}, was {self._arities[key]}"
-            )
-        self._arities[key] = arity
+        sym = Symbol(name, arity, kind)
+        self._symbols.add(sym)
         self._names.add(name)
-        return Symbol(name, arity, kind)
+        return sym
 
     def symbols(self) -> list[Symbol]:
-        return [Symbol(n, a, k) for (k, n), a in sorted(self._arities.items())]
+        return sorted(self._symbols, key=lambda s: (s.kind, s.name, s.arity))
 
     def fresh(self, base: str, arity: int = 0, kind: str = "function") -> str:
         n = 1

@@ -1,8 +1,8 @@
 """Quantifier elimination into epsilon/tau terms, and back-translations.
 
 et_translate replaces quantifiers by epsilon/tau terms, innermost first.
-shadow collapses a formula to its propositional skeleton.  Both rebuild
-through syntax.transform and recurse only into nested quantifiers.
+shadow collapses a formula to its propositional skeleton.  Each is one
+bottom-up syntax.transform walk, nested quantifiers included.
 herbrand_form computes the purely existential form of a prenex formula.
 The quantifier shift schemas come in two tables: those whose translations
 *are* critical formulas, and those provable from one critical formula by
@@ -38,6 +38,7 @@ from .syntax import (
     free_vars,
     instantiate,
     is_quantifier_free,
+    rebuild,
     subst_var,
     tau,
     to_text,
@@ -53,40 +54,38 @@ def et_translate(phi: Formula) -> Formula:
     """
     if contains_etau(phi):
         raise ValueError(f"already contains epsilon/tau terms: {to_text(phi)}")
-    return transform(phi, _et_leaf)
+    return transform(phi, _formula_leaf, _et_build)
 
 
-def _et_leaf(node: Formula, depth: int) -> Formula | None:
+def _formula_leaf(node: Formula, depth: int) -> Formula | None:
     match node:
-        case Exists(hint, body):
-            tb = et_translate(body)
-            return instantiate(tb, Eps(hint, tb))
-        case Forall(hint, body):
-            tb = et_translate(body)
-            return instantiate(tb, Tau(hint, tb))
         case Atom() | Top() | Bot():
             return node
-        case Not() | And() | Or() | Implies():
+        case Not() | And() | Or() | Implies() | Exists() | Forall():
             return None
     raise ValueError(f"not a formula: {node!r}")
+
+
+def _et_build(node: Formula, kids: tuple[Formula, ...]) -> Formula:
+    match node:
+        case Exists(hint, _):
+            return instantiate(kids[0], Eps(hint, kids[0]))
+        case Forall(hint, _):
+            return instantiate(kids[0], Tau(hint, kids[0]))
+    return rebuild(node, kids)
 
 
 def shadow(phi: Formula) -> Formula:
     """The propositional image: atoms keep only their predicate, binders vanish."""
-    return transform(phi, _shadow_leaf)
+    return transform(phi, _shadow_leaf, _shadow_build)
 
 
 def _shadow_leaf(node: Formula, depth: int) -> Formula | None:
-    match node:
-        case Atom(pred, _):
-            return Atom(pred, ())
-        case Forall(_, body) | Exists(_, body):
-            return shadow(body)
-        case Top() | Bot():
-            return node
-        case Not() | And() | Or() | Implies():
-            return None
-    raise ValueError(f"not a formula: {node!r}")
+    return Atom(node.pred, ()) if isinstance(node, Atom) else _formula_leaf(node, depth)
+
+
+def _shadow_build(node: Formula, kids: tuple[Formula, ...]) -> Formula:
+    return kids[0] if isinstance(node, (Forall, Exists)) else rebuild(node, kids)
 
 
 def herbrand_form(phi: Formula, signature: Signature | None = None) -> Formula:

@@ -163,13 +163,13 @@ def test_criterion_5_lc3_worked_example():
     # every recorded length-3 chain matches the three-link schema shape
     lambda_instances = [
         inst
-        for inst in expansion.axiom_instances_used
-        if len(or_spine(inst)) == 3 and inst in expansion.axiom_instances_used[:8]
+        for inst in expansion.after.instances
+        if len(or_spine(inst)) == 3 and inst in expansion.after.instances[:8]
     ]
     ok = ok and len(lambda_instances) == 8
     ok = ok and all(is_implication_chain(i) for i in lambda_instances)
     # independent oracle: every instance either step records is valid on the 3-chain
-    for inst in (i for st in steps for i in st.axiom_instances_used):
+    for inst in (i for st in steps for i in st.after.instances):
         ok = ok and godel_oracle(inst, 3)
     final = steps[-1].after
     ok = ok and len(or_spine(final.goal)) == 14
@@ -212,12 +212,9 @@ def test_criterion_7_termination_measure():
     ok = True
     for _ in range(100):
         j = random_classical_judgment(rng)
+        trace = run_elimination(j)
         measures = [judgment_measure(judgment_critical_terms(j))]
-
-        def watch(st):
-            measures.append(judgment_measure(judgment_critical_terms(st.after)))
-
-        trace = run_elimination(j, on_step=watch)
+        measures += [judgment_measure(judgment_critical_terms(st.after)) for st in trace.steps]
         ok = ok and all(b < a for a, b in zip(measures, measures[1:]))
         ok = ok and not contains_etau(trace.result)
         ok = ok and taut_oracle(trace.result)

@@ -36,6 +36,13 @@ def test_translate_herbrandize(capsys):
     assert code == 0 and out.strip() == "ex z. P(u_1(z)) -> P(z)"
 
 
+def test_translate_herbrandize_symbol_at_two_arities(capsys):
+    # the fresh Skolem names need only avoid the names in use, whatever their arities
+    code, out, err = run_cli(capsys, "translate", "--herbrandize", "ex z. all u. (P(f(u)) -> P(f(z, u)))")
+    assert (code, err) == (0, "")
+    assert out.strip() == "ex z. P(f(u_1(z))) -> P(f(z, u_1(z)))"
+
+
 def test_translate_herbrandize_non_prenex(capsys):
     code, _, err = run_cli(capsys, "translate", "--herbrandize", "(all x. P(x)) -> Q")
     assert code == 2 and "error" in err
@@ -161,6 +168,25 @@ def test_eliminate_failed_verification_exits_1(tmp_path, capsys, driver, logic, 
     assert code == 1
     assert err.startswith("verification failed: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "driver, logic, goal, result",
+    [
+        ("hb", "classical", "{g}", "P(f(a, b)) | (P(f(a)) -> P(c_1)) | (P(f(a)) -> P(f(a)))"),
+        ("weak-lin", "lc", "{g}", "P(f(a, b)) | (P(f(a)) -> P(f(a)))"),
+        ("jankov", "kc", "~~({g})", "~~({g}) | ~~(P(f(a, b)) | (P(f(a)) -> P(f(a))))"),
+    ],
+    ids=["hb", "weak-lin", "jankov"],
+)
+def test_eliminate_symbol_at_two_arities(tmp_path, capsys, driver, logic, goal, result):
+    # f is unary in the critical and binary in the goal; every driver runs it
+    g = "P(f(a, b)) | (P(f(a)) -> P(eps x. P(x)))"
+    path = tmp_path / "arities.judgment"
+    path.write_text(f"logic: {logic}\ncritical: P(f(a)) -> P(eps x. P(x))\ngoal: {goal.format(g=g)}\n")
+    code, out, err = run_cli(capsys, "eliminate", str(path), "--driver", driver, "--verify", "full")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"result: {result.format(g=g)}"
 
 
 def test_verify_judgment_file(tmp_path, capsys):

@@ -102,7 +102,7 @@ def test_single_classical_eps():
     st = eliminate_single_classical(j, c)
     assert st.elimination_set == (pt("eps x. A(x)"), pt("s_0"))
     assert st.after.goal == pf("D(eps x. A(x)) | D(s_0)")
-    assert st.axiom_instances_used == (pf("A(s_0) | ~A(s_0)"),)
+    assert st.after.instances == (pf("A(s_0) | ~A(s_0)"),)
     # on a judgment whose goal really follows, the step preserves validity
     valid = make_judgment(CLASSICAL, [c.rendered], c.rendered)
     assert verify_judgment(valid)
@@ -115,8 +115,8 @@ def test_single_classical_tau():
     st = eliminate_single_classical(j, c)
     assert st.after.goal == pf("D(tau x. A(x)) | D(s_0)")
     # the one-atom tau instance of excluded middle, as complete elimination records it
-    assert st.axiom_instances_used == (pf("A(s_0) | ~A(s_0)"),)
-    assert st.axiom_instances_used == eliminate_complete_classical(j, c.critical_term).axiom_instances_used
+    assert st.after.instances == (pf("A(s_0) | ~A(s_0)"),)
+    assert st.after.instances == eliminate_complete_classical(j, c.critical_term).after.instances
     valid = make_judgment(CLASSICAL, [c.rendered], c.rendered)
     assert verify_judgment(eliminate_single_classical(valid, c).after)
 
@@ -144,7 +144,7 @@ def test_complete_classical_k1_equals_single():
     single = eliminate_single_classical(j, c)
     complete = eliminate_complete_classical(j, pt("eps x. A(x)"))
     assert single.after == complete.after
-    assert single.axiom_instances_used == complete.axiom_instances_used
+    assert single.after.instances == complete.after.instances
 
 
 def test_complete_classical_counts_and_instance():
@@ -157,8 +157,8 @@ def test_complete_classical_counts_and_instance():
     st = eliminate_complete_classical(j, e)
     assert st.elimination_set == (e, pt("c"), pt("d"))
     assert len(or_spine(st.after.goal)) <= 3
-    assert st.axiom_instances_used == (pf("A(c) | A(d) | ~A(c) & ~A(d)"),)
-    assert is_em_instance(st.axiom_instances_used[0])
+    assert st.after.instances == (pf("A(c) | A(d) | ~A(c) & ~A(d)"),)
+    assert is_em_instance(st.after.instances[0])
     assert verify_judgment(st.after)
 
 
@@ -170,8 +170,8 @@ def test_complete_classical_tau_dual():
         pf("A(tau x. A(x)) -> A(c)"),
     )
     st = eliminate_complete_classical(j, e)
-    assert st.axiom_instances_used == (pf("A(c) & A(d) | ~A(c) | ~A(d)"),)
-    assert is_em_instance(st.axiom_instances_used[0])
+    assert st.after.instances == (pf("A(c) & A(d) | ~A(c) | ~A(d)"),)
+    assert is_em_instance(st.after.instances[0])
     assert verify_judgment(st.after)
 
 
@@ -250,8 +250,8 @@ def test_jankov_single():
     )
     st = eliminate_negated_jankov(j, pt("eps x. A(x)"))
     assert st.after.goal == pf("~D(eps x. A(x)) | ~D(s_0)")
-    assert st.axiom_instances_used == (pf("~A(s_0) | ~~A(s_0)"),)
-    assert is_weak_em_instance(st.axiom_instances_used[0])
+    assert st.after.instances == (pf("~A(s_0) | ~~A(s_0)"),)
+    assert is_weak_em_instance(st.after.instances[0])
 
 
 def test_jankov_rejects_unnegated_goal():
@@ -271,7 +271,7 @@ def test_jankov_two_witnesses_verifies_intuitionistically():
     assert verify_judgment(j)
     st = eliminate_negated_jankov(j, pt("eps x. A(x)"))
     assert len(or_spine(st.after.goal)) == 3
-    assert is_weak_em_instance(st.axiom_instances_used[0])
+    assert is_weak_em_instance(st.after.instances[0])
     assert verify_judgment(st.after)
 
 
@@ -297,7 +297,7 @@ def test_pred_lin_two_witnesses():
     st = eliminate_predicative_lin(j, e)
     assert st.elimination_set == (pt("u"), pt("v"))
     assert st.after.goal == pf("(A(u) -> A(u)) | (A(u) -> A(v))")
-    inst = st.axiom_instances_used[0]
+    inst = st.after.instances[0]
     assert is_bigdisj_instance(inst)
     assert verify_judgment(st.after)
 
@@ -307,7 +307,7 @@ def test_pred_lin_single_witness():
     j = make_judgment(LC, [pf("A(u) -> A(eps x. A(x))")], pf("A(u) -> A(eps x. A(x))"))
     st = eliminate_predicative_lin(j, e)
     assert st.after.goal == pf("A(u) -> A(u)")
-    assert st.axiom_instances_used == (pf("A(u) -> A(u)"),)
+    assert st.after.instances == (pf("A(u) -> A(u)"),)
 
 
 def test_pred_lin_rejects_impredicative():
@@ -325,7 +325,7 @@ def test_pred_lin_tau():
         pf("A(tau x. A(x)) -> A(u)"),
     )
     st = eliminate_predicative_lin(j, e)
-    assert is_bigdisj_instance(st.axiom_instances_used[0])
+    assert is_bigdisj_instance(st.after.instances[0])
     assert verify_judgment(st.after)
 
 
@@ -365,9 +365,9 @@ def test_bm_full_expansion_words():
     assert pf("A(v) -> A(eps x. A(x))") in st.after.criticals
     # 8 word chains plus 8 three-link absorption chains, one per u, v and
     # length-2 word; every one is a theorem of lc3
-    assert len(st.axiom_instances_used) == 16
-    assert all(is_implication_chain(i) for i in st.axiom_instances_used)
-    assert all(len(or_spine(i)) == 3 for i in st.axiom_instances_used)
+    assert len(st.after.instances) == 16
+    assert all(is_implication_chain(i) for i in st.after.instances)
+    assert all(len(or_spine(i)) == 3 for i in st.after.instances)
 
 
 def test_bm_errors():
@@ -472,13 +472,9 @@ def test_run_elimination_measure_decreases():
     rng = random.Random(99)
     for _ in range(30):
         j = random_classical_judgment(rng)
-        measures = []
-
-        def watch(st):
-            measures.append(judgment_measure(judgment_critical_terms(st.after)))
-
-        trace = run_elimination(j, on_step=watch)
-        seq = [judgment_measure(judgment_critical_terms(j))] + measures
+        trace = run_elimination(j)
+        seq = [judgment_measure(judgment_critical_terms(st.after)) for st in trace.steps]
+        seq.insert(0, judgment_measure(judgment_critical_terms(j)))
         assert all(b < a for a, b in zip(seq, seq[1:]))
         assert not contains_etau(trace.result)
 
@@ -691,7 +687,7 @@ def test_instance_honesty_random(logic):
     for _ in range(25):
         j = random_classical_judgment(rng, logic)
         for st in run_elimination(j).steps:
-            for inst in st.axiom_instances_used:
+            for inst in st.after.instances:
                 assert is_em_instance(inst) or is_implication_chain(inst) or is_bigdisj_instance(inst)
                 assert godel_oracle(inst, size), to_text(inst)
 
@@ -774,13 +770,11 @@ def test_text_memo_prints_each_step_as_plain_printing():
     rng = random.Random(19)
     for logic in (CLASSICAL, lcm(2), lcm(3)):
         for _ in range(8):
+            trace = run_elimination(random_classical_judgment(rng, logic))
             objs = []
-
-            def note(st):
+            for st in trace.steps:
                 objs.extend([st.target, *st.elimination_set, *st.eliminated])
                 objs.extend([*st.after.criticals, *st.after.instances, st.after.goal])
-
-            trace = run_elimination(random_classical_judgment(rng, logic), on_step=note)
             objs.append(trace.result)
             memo: dict = {}
             assert [to_text(o, memo) for o in objs] == [to_text(o) for o in objs]
@@ -862,14 +856,14 @@ def test_after_judgment_holds_only_its_step_instances():
         size = j.logic.m or 2
         for i, st in enumerate(steps):
             assert st.after.instances == st.axiom_instances_used
-            carried = list(st.axiom_instances_used)
+            carried = list(st.after.instances)
             for later in steps[i + 1 :]:
                 carried = [
                     syntax.subst_term(f, later.target, t)
                     for t in later.elimination_set
                     for f in carried
                 ]
-                copies += sum(f not in st.axiom_instances_used for f in carried)
+                copies += sum(f not in st.after.instances for f in carried)
                 for f in carried:
                     [letters], _ = letter_atoms([f])
                     if (letters, size) not in checked:

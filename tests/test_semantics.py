@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from epsitau.semantics import (
     decide,
     eval_godel,
     lc_chain_size,
+    prop_atoms,
     prove_H,
     schema,
     schema_relations_check,
@@ -23,10 +25,12 @@ from epsitau.semantics import (
     valid_in_LCm,
     verify_judgment,
 )
-from epsitau.syntax import And, Atom, Bot, Implies, Not, Or, Top, and_join, or_join
+from epsitau.eliminate import run_elimination
+from epsitau.syntax import And, Atom, Bot, Implies, Not, Or, Top, and_join, or_join, to_text
 
 from helpers import (
     godel_oracle,
+    grid_judgment,
     is_bigdisj_instance,
     is_em_instance,
     is_implication_chain,
@@ -61,6 +65,35 @@ def test_eval_connectives():
     assert eval_godel(pf("~A"), {"A": 0}, chain) == 3
     assert eval_godel(pf("top"), {}, chain) == 3
     assert eval_godel(pf("bot"), {}, chain) == 0
+
+
+def test_eval_godel_on_the_lc6_k4_grid_result():
+    # 2,730 disjuncts, nested far past the interpreter's recursion limit
+    result = run_elimination(grid_judgment("lc6", 4)).result
+    zero = {to_text(a): 0 for a in prop_atoms(result)}
+    assert eval_godel(result, zero, GodelChain(6)) == 5
+
+
+@pytest.mark.parametrize("n", [3000, 3001])
+@pytest.mark.parametrize("a", [0, 1])
+def test_eval_godel_on_a_deep_negation_tower(n, a):
+    # ~v is top at 0 and 0 above it, so the parity of the tower decides
+    f = Atom("A", ())
+    for _ in range(n):
+        f = Not(f)
+    chain = GodelChain(3)
+    assert eval_godel(f, {"A": a}, chain) == (chain.top if (n % 2 == 1) == (a == 0) else 0)
+
+
+def test_eval_godel_on_shared_levels_takes_linear_time():
+    # 30 levels of f = (f & f) | B: each distinct node is evaluated once,
+    # though the tree has 2^30 copies of the deepest one
+    f, b = Atom("A", ()), Atom("B", ())
+    for _ in range(30):
+        f = Or(And(f, f), b)
+    start = time.perf_counter()
+    assert eval_godel(f, {"A": 1, "B": 0}, GodelChain(3)) == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_eval_unmapped_atom():

@@ -10,6 +10,7 @@ from epsitau.syntax import (
     App,
     Atom,
     Implies,
+    Or,
     SortError,
     Var,
     alpha_eq,
@@ -28,6 +29,7 @@ from epsitau.syntax import (
     subst_var,
     tau,
     to_text,
+    transform,
 )
 from epsitau.translate import et_translate
 from epsitau.parser import parse_formula as pf, parse_term as pt
@@ -264,6 +266,22 @@ def test_long_disjunction_needs_no_recursion():
     v = decide(CLASSICAL, [closed], Atom("B"))
     assert not v.holds and v.chain_size == 2
     assert len(v.countervaluation) == n + 1 and v.countervaluation["B"] == 0
+
+
+def test_transform_fold_builds_each_distinct_node_once():
+    # 40 levels of f = (f & f) | B: a tree of 4 * 2^40 - 3 nodes over 82
+    # distinct ones; the fold counts the tree and builds each node once
+    f, b = Atom("A", ()), Atom("B", ())
+    for _ in range(40):
+        f = Or(And(f, f), b)
+    built = []
+
+    def build(node, sizes):
+        built.append(node)
+        return 1 + sum(sizes)
+
+    assert transform(f, lambda node, depth: 1 if isinstance(node, Atom) else None, build) == 4 * 2**40 - 3
+    assert len(built) == len({id(n) for n in built}) == 80
 
 
 # ---------------------------------------------------------------------------
