@@ -76,8 +76,8 @@ def _trace_lines(trace: elim.EliminationTrace) -> list[str]:
         lines.append(f"  set: {', '.join(to_text(t, memo) for t in st.elimination_set)}")
         for f in st.eliminated:
             lines.append(f"  removed: {to_text(f, memo)}")
-        for f in st.after.instances:
-            lines.append(f"  instance: {to_text(f, memo)}")
+        for inst in st.axiom_instances_used:
+            lines.append(f"  instance: {to_text(inst.formula, memo)}")
         lines.append(f"  goal: {to_text(st.after.goal, memo)}")
     for t, name in trace.grounding:
         lines.append(f"ground {to_text(t, memo)} as {name}")

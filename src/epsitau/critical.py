@@ -189,7 +189,7 @@ def subordinate_subterms(e: Term) -> list[Term]:
         node, depth = stack.pop()
         if isinstance(node, BINDER_TERMS) and _has_ref(node, depth) and node not in out:
             out.append(node)
-        inner = depth + 1 if isinstance(node, BINDER_TERMS) else depth
+        inner = depth + 1 if isinstance(node, BINDERS) else depth
         stack += [(k, inner) for k in reversed(node._kids())]
     return out
 

@@ -2,10 +2,11 @@
 
 Each elimination replaces one epsilon/tau term by a set of terms, disjoining
 the goal over the set and substituting through the remaining premises, at
-the cost of recording instances of the logic's characteristic schema; the
-judgment after a step lists only these.  The driver takes terms of maximal
-degree among those of maximal rank first, so the (rank, degree, count)
-measure decreases and the process stops.
+the cost of recording instances of the logic's characteristic schema.  The
+step keeps them as semantics.Instance records, certified by their schema
+table row; the judgment after it has none.  The driver takes terms of
+maximal degree among those of maximal rank first, so the (rank, degree,
+count) measure decreases and the process stops.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "EliminationTrace",
     "FailureReport",
     "bm_extract",
-    "bm_stage",
     "combine_disjunction",
     "eliminate_complete_Gm",
     "eliminate_complete_classical",
@@ -87,14 +87,10 @@ class EliminationStep:
     target: Term
     eliminated: tuple[Formula, ...]
     elimination_set: tuple[Term, ...]
+    axiom_instances_used: tuple[semantics.Instance, ...]
     before: Judgment
     after: Judgment
     raw_disjunct_count: int
-
-    @property
-    def axiom_instances_used(self) -> tuple[Formula, ...]:
-        """The instances the step records, the same tuple as after.instances (the older name)."""
-        return self.after.instances
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,7 +176,7 @@ def _step(
     e: Term,
     kind: str,
     refusal: str,
-    schema: Callable[[list[Term], list[Formula]], tuple[Sequence[Term], int, list[list[Formula]]]],
+    schema: Callable[[list[Term], list[Formula]], tuple[Sequence[Term], list[list[Formula]]]],
     take: Callable[[CriticalFormula], bool] = lambda r: True,
 ) -> EliminationStep:
     """The elimination skeleton every step constructor is built on.
@@ -188,24 +184,23 @@ def _step(
     The readings at e are split into those to eliminate (``take``) and those
     kept as premises unchanged; an e with nothing to eliminate is rejected.
     ``schema`` maps the witnesses w of the eliminated readings and their
-    atoms A(w) to the elimination set, an arity and the atom lists of the
-    instances to record.  Each instance is semantics.schema(kind, atoms)
-    at that arity, with e's polarity, and is certified where it is built,
-    by the row semantics.proves(logic, kind, arity) of the schema table; a
-    logic the row refuses raises ValueError(refusal).  The goal is disjoined
-    over the set, and the premises that are not readings at e are
-    substituted across it; earlier instances are dropped.
+    atoms A(w) to the elimination set and the atom lists of the instances to
+    record.  Each is recorded as semantics.Instance(kind, polarity, atoms),
+    with e's polarity, and certified by the row semantics.proves(logic,
+    kind, arity) of the schema table; a logic the row refuses raises
+    ValueError(refusal).  The goal is disjoined over the set, and the
+    premises that are not readings at e are substituted across it.
     """
     readings = judgment_readings(j).get(e, [])
     taken = [(f, r) for f, r in readings if take(r)]
     if not taken:
         raise ValueError(f"no critical formulas of {to_text(e)} to eliminate")
     ws = _witnesses(taken)
-    elim_set, arity, atom_lists = schema(ws, [_at(e, w) for w in ws])
-    if not semantics.proves(j.logic, kind, arity):
-        raise ValueError(refusal)
+    elim_set, atom_lists = schema(ws, [_at(e, w) for w in ws])
     polarity = "eps" if isinstance(e, Eps) else "tau"
-    instances = dedup(semantics.schema(kind, xs, arity, polarity) for xs in atom_lists)
+    instances = dedup(semantics.Instance(kind, polarity, tuple(xs)) for xs in atom_lists)
+    if not all(semantics.proves(j.logic, kind, n) for n in {i.arity for i in instances}):
+        raise ValueError(refusal)
     at_e = {f for f, _ in readings}
     rest = [f for f in j.criticals if f not in at_e]
     kept = [f for f, r in readings if not take(r)]
@@ -215,8 +210,9 @@ def _step(
         target=e,
         eliminated=tuple(f for f, _ in taken),
         elimination_set=tuple(elim_set),
+        axiom_instances_used=instances,
         before=j,
-        after=Judgment(j.logic, criticals, instances, goal),
+        after=Judgment(j.logic, criticals, (), goal),
         raw_disjunct_count=raw,
     )
 
@@ -278,13 +274,13 @@ def eliminate_single_classical(j: Judgment, c: CriticalFormula) -> EliminationSt
         raise ValueError(f"not a premise: {to_text(c.rendered)}")
     e = c.critical_term
     refusal = "single elimination via excluded middle needs classical logic"
-    return _step(j, e, "EM", refusal, lambda ws, pos: (dedup([e] + ws), 1, [pos]), lambda r: r == c)
+    return _step(j, e, "EM", refusal, lambda ws, pos: (dedup([e] + ws), [pos]), lambda r: r == c)
 
 
 def eliminate_complete_classical(j: Judgment, e: Term) -> EliminationStep:
     """Remove all critical formulas of e at once; at most k+1 goal disjuncts."""
     refusal = "complete classical elimination needs classical logic"
-    return _step(j, e, "EM", refusal, lambda ws, pos: (dedup([e] + ws), len(pos), [pos]))
+    return _step(j, e, "EM", refusal, lambda ws, pos: (dedup([e] + ws), [pos]))
 
 
 def eliminate_negated_jankov(j: Judgment, e: Term) -> EliminationStep:
@@ -292,7 +288,7 @@ def eliminate_negated_jankov(j: Judgment, e: Term) -> EliminationStep:
     if not isinstance(j.goal, Not):
         raise ValueError("the goal must be a negation")
     refusal = f"logic {j.logic} does not prove weak excluded middle"
-    return _step(j, e, "J", refusal, lambda ws, pos: (dedup([e] + ws), len(pos), [pos]))
+    return _step(j, e, "J", refusal, lambda ws, pos: (dedup([e] + ws), [pos]))
 
 
 def eliminate_predicative_lin(j: Judgment, e: Term) -> EliminationStep:
@@ -305,7 +301,7 @@ def eliminate_predicative_lin(j: Judgment, e: Term) -> EliminationStep:
     if bad:
         raise ValueError(f"impredicative critical formula for {to_text(e)}: {to_text(bad[0])}")
     refusal = f"logic {j.logic} does not prove linearity"
-    return _step(j, e, "bigdisj", refusal, lambda ws, pos: (ws, len(pos), [pos]))
+    return _step(j, e, "bigdisj", refusal, lambda ws, pos: (ws, [pos]))
 
 
 def _words(e: Term, contexts: Sequence[Term], n: int) -> dict[tuple[Term, ...], Term]:
@@ -319,11 +315,6 @@ def _words(e: Term, contexts: Sequence[Term], n: int) -> dict[tuple[Term, ...], 
         for word in itertools.product(contexts, repeat=length):
             terms[word] = subst_term(word[0], e, terms[word[1:]])
     return terms
-
-
-def _words_below(words: dict[tuple[Term, ...], Term], m: int) -> list[Term]:
-    """The terms of the words of length < m, without repeats."""
-    return list(dedup(t for w, t in words.items() if len(w) < m))
 
 
 def _word_paths(words: dict[tuple[Term, ...], Formula], length: int) -> list[list[Formula]]:
@@ -351,24 +342,10 @@ def eliminate_impredicative_Bm(j: Judgment, e: Term, m: int) -> EliminationStep:
         atoms = {w: _at(e, t) for w, t in words.items()}  # A(w e) for each word w
         firsts = [_at(e, u) for u in pred_ws]
         paths = _word_paths(atoms, m) + [[a] + p for p in _word_paths(atoms, m - 1) for a in firsts]
-        return _words_below(words, m), m, paths
+        return dedup(t for w, t in words.items() if len(w) < m), paths
 
     refusal = f"logic {j.logic} does not prove the {m}-link chain schema"
     return _step(j, e, "Bm", refusal, schema, take=lambda r: not is_predicative(r))
-
-
-def bm_stage(j: Judgment, e: Term, i: int) -> tuple[Formula, list[Formula]]:
-    """The goal and chain premises after stage i of the chain expansion.
-
-    Stage i has the goal disjoined over all words of length < i and the
-    length-i word chains as pending premises; useful for inspecting the
-    construction mid-flight.
-    """
-    impred = [(f, r) for f, r in judgment_readings(j).get(e, []) if not is_predicative(r)]
-    words = _words(e, sorted(_witnesses(impred), key=canonical_text), i)
-    goal, _ = _expand(j.goal, e, _words_below(words, i))
-    paths = _word_paths({w: _at(e, t) for w, t in words.items()}, i)
-    return goal, [semantics.schema("Bm", p, i, "eps" if isinstance(e, Eps) else "tau") for p in paths]
 
 
 def eliminate_complete_Gm(j: Judgment, e: Term, m: int) -> list[EliminationStep]:
@@ -441,14 +418,14 @@ def run_elimination(
     Residual terms in an hb or weak-lin result become fresh constants, one
     per alpha-class.  With ``verify`` "steps" semantics.verify_judgment
     checks the input judgment, its instances included, and, after the loop,
-    each step's criticals -> goal; "full" checks the result too, unless that
-    was the last query (a jankov result may keep criticals: no check).  A
-    step's instances are certified by their schema-table row where it builds
-    them (see _step), so none reaches the backend.  A run ending in a failure
-    report sends only the input query.  A failed check raises
+    each step's after-judgment, criticals -> goal; "full" checks the result
+    too, unless that was the last query (a jankov result may keep criticals:
+    no check).  A step's instances are records certified by their schema
+    table row (see _step), so none reaches the backend.  A run ending in a
+    failure report sends only the input query.  A failed check raises
     EliminationError.  The loop builds its nodes in one sharing scope, and
-    the input judgment is rebuilt in it first, so that separately parsed
-    copies of a term are one node.
+    the input criticals and goal are rebuilt in it first, so that separately
+    parsed copies of a term are one node; no step reads the input instances.
     """
     if verify not in VERIFY_LEVELS:
         raise ValueError(f"unknown verify level {verify!r} (use {', '.join(VERIFY_LEVELS)})")
@@ -461,12 +438,7 @@ def run_elimination(
     given = j
     steps: list[EliminationStep] = []
     with sharing():
-        j = Judgment(
-            j.logic,
-            tuple(map(interned, j.criticals)),
-            tuple(map(interned, j.instances)),
-            interned(j.goal),
-        )
+        j = Judgment(j.logic, tuple(map(interned, j.criticals)), j.instances, interned(j.goal))
         readings = judgment_readings(j)
         while readings:
             e = first if not steps and first in readings else select_max(list(readings))
@@ -501,8 +473,7 @@ def run_elimination(
                     )
     if verify != "none":
         for st in steps:
-            query = Judgment(st.after.logic, st.after.criticals, (), st.after.goal)
-            _check_judgment(query, budget, f"after eliminating {to_text(st.target)}")
+            _check_judgment(st.after, budget, f"after eliminating {to_text(st.target)}")
     if driver == "jankov":
         return EliminationTrace(tuple(steps), j.goal, ())
     sig = Signature.collect(given.goal, *given.criticals, *given.instances)
@@ -691,7 +662,7 @@ def trace_to_json(trace: EliminationTrace, logic: Logic) -> str:
                 "target": to_text(st.target, memo),
                 "eliminated": [to_text(f, memo) for f in st.eliminated],
                 "elimination_set": [to_text(t, memo) for t in st.elimination_set],
-                "axiom_instances": [to_text(f, memo) for f in st.after.instances],
+                "axiom_instances": [to_text(i.formula, memo) for i in st.axiom_instances_used],
                 "goal_after": to_text(st.after.goal, memo),
             }
             for st in trace.steps

@@ -4,7 +4,9 @@ A Judgment is the claim "criticals, axiom instances |- goal" in a tagged
 propositional logic, over quantifier-free formulas; each axiom instance
 must be a theorem of the logic.  The criticals slot may hold substitution
 residues that are no longer critical formulas; they are simply premises.
-After an elimination step, the instances are those the step records.
+The instances are formulas no schema table row vouches for, such as the
+`instance:` lines of a file: the instances an elimination step records stay
+on the step, and the judgment after it has none.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ its propositional variables.
 decide is the only place a logic meets its backend.  It answers with a
 Verdict, and Verdict.describe turns every failure into text.  schema builds
 every schema instance, and proves is the one table of which logic proves
-which schema (the lemmas of Baaz & Zach, arXiv 1907.04477): an elimination
-step certifies the instances it records by their row, where it builds them,
-so only instances from outside a run are decided, by verify_judgment.
+which schema (the lemmas of Baaz & Zach, arXiv 1907.04477).  An elimination
+step records each instance as an Instance (kind, polarity, atoms) and
+certifies it by its row; its formula is built only to be printed.  So only
+instances from outside a run are decided, by verify_judgment.
 """
 
 from __future__ import annotations
@@ -326,6 +327,32 @@ def schema(
             link = (lambda xi, xj: Implies(xj, xi)) if tau else Implies
             return or_join([and_join([link(xi, xj) for xi in xs]) for xj in xs])
     raise ValueError(f"unknown schema kind {kind!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class Instance:
+    """A schema instance as an elimination step records it, without its formula.
+
+    The step certifies it by proves(logic, kind, arity).  At one kind,
+    polarity and arity two records are equal iff their formulas are, so a
+    step dedups its records as it would their formulas.  ``formula`` is
+    schema(kind, atoms, polarity=polarity), built anew on each call and
+    cached nowhere: it adds only connective nodes over the atoms held here,
+    so one text memo of syntax.to_text may print many of them.
+    """
+
+    kind: str
+    polarity: str
+    atoms: tuple[Formula, ...]
+
+    @property
+    def arity(self) -> int:
+        """The link count for Bm, the atom count otherwise."""
+        return len(self.atoms) - (self.kind == "Bm")
+
+    @property
+    def formula(self) -> Formula:
+        return schema(self.kind, self.atoms, polarity=self.polarity)
 
 
 def proves(logic: Logic, kind: str, arity: int) -> bool:

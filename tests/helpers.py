@@ -10,6 +10,7 @@ the atom renaming tells alpha-classes apart by their printed form.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -583,6 +584,20 @@ def random_classical_judgment(rng: random.Random, logic=CLASSICAL):
 
 # ---------------------------------------------------------------------------
 # Shared fixtures
+
+
+def recorded(step) -> tuple[Formula, ...]:
+    """The formulas of the schema instances an elimination step records."""
+    return tuple(inst.formula for inst in step.axiom_instances_used)
+
+
+def recorded_judgment(step):
+    """The step's after-judgment with its recorded instances as instances.
+
+    verify_judgment then decides each recorded instance as well, as it does
+    any instance given from outside a run.
+    """
+    return dataclasses.replace(step.after, instances=recorded(step))
 
 
 def chain_witness_judgment():

@@ -51,6 +51,8 @@ from helpers import (
     random_classical_judgment,
     random_matrix,
     random_term,
+    recorded,
+    recorded_judgment,
     taut_oracle,
     weak_lin_negative_judgment,
 )
@@ -161,18 +163,14 @@ def test_criterion_5_lc3_worked_example():
     ok = expansion.elimination_set == tuple(apply_word(w) for w in words)
     ok = ok and len(or_spine(expansion.after.goal)) == 7
     # every recorded length-3 chain matches the three-link schema shape
-    lambda_instances = [
-        inst
-        for inst in expansion.after.instances
-        if len(or_spine(inst)) == 3 and inst in expansion.after.instances[:8]
-    ]
+    lambda_instances = [inst for inst in recorded(expansion)[:8] if len(or_spine(inst)) == 3]
     ok = ok and len(lambda_instances) == 8
     ok = ok and all(is_implication_chain(i) for i in lambda_instances)
     # independent oracle: every instance either step records is valid on the 3-chain
-    for inst in (i for st in steps for i in st.after.instances):
+    for inst in (i for st in steps for i in recorded(st)):
         ok = ok and godel_oracle(inst, 3)
-    final = steps[-1].after
-    ok = ok and len(or_spine(final.goal)) == 14
+    final = recorded_judgment(steps[-1])
+    ok = ok and len(or_spine(final.goal)) == 14 and len(final.instances) == 1
     ok = ok and verify_judgment(final)
     report(5, "three-valued worked example: 7-word expansion and verified finish", ok)
 
@@ -281,8 +279,6 @@ def test_criterion_11_jankov_negated_goal():
     step = eliminate_negated_jankov(j, pt("eps x. A(x)"))
     # the after-judgment is checked by the intuitionistic prover with the
     # recorded weak-excluded-middle instance adjoined as a premise
-    ok = ok and verify_judgment(step.after)
-    ok = ok and prove_H(
-        list(step.after.criticals) + list(step.after.instances), step.after.goal
-    )
+    ok = ok and verify_judgment(recorded_judgment(step))
+    ok = ok and prove_H(list(step.after.criticals) + list(recorded(step)), step.after.goal)
     report(11, "negated-goal elimination verified intuitionistically", ok)

@@ -185,6 +185,16 @@ def test_rank_subordinate():
     assert len(subordinate_subterms(e)) == 1
 
 
+def test_rank_counts_quantifiers_between_a_term_and_its_subordinate():
+    # A quantifier between e and the inner term shifts the index of e's
+    # variable inside it; the inner term is subordinate all the same.
+    assert rank(pt("eps x. A(eps z. P(x, z))")) == 2
+    assert rank(pt("eps x. all y. A(eps z. P(x, z))")) == 2
+    assert rank(pt("tau x. ex y. A(eps z. P(x, z))")) == 2
+    assert rank(pt("eps x. all y. A(eps z. P(y, z))")) == 1  # z's term uses y, not x
+    assert len(subordinate_subterms(pt("eps x. all y. A(eps z. P(x, z))"))) == 1
+
+
 def test_rank_rejects_non_binder():
     with pytest.raises(ValueError):
         rank(pt("f(c)"))

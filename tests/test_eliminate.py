@@ -13,7 +13,6 @@ from epsitau.eliminate import (
     EliminationTrace,
     FailureReport,
     bm_extract,
-    bm_stage,
     combine_disjunction,
     eliminate_complete_Gm,
     eliminate_complete_classical,
@@ -46,6 +45,8 @@ from helpers import (
     lc3_worked_judgment,
     letter_atoms,
     random_classical_judgment,
+    recorded,
+    recorded_judgment,
     taut_oracle,
     weak_lin_negative_judgment,
 )
@@ -102,11 +103,11 @@ def test_single_classical_eps():
     st = eliminate_single_classical(j, c)
     assert st.elimination_set == (pt("eps x. A(x)"), pt("s_0"))
     assert st.after.goal == pf("D(eps x. A(x)) | D(s_0)")
-    assert st.after.instances == (pf("A(s_0) | ~A(s_0)"),)
+    assert recorded(st) == (pf("A(s_0) | ~A(s_0)"),)
     # on a judgment whose goal really follows, the step preserves validity
     valid = make_judgment(CLASSICAL, [c.rendered], c.rendered)
     assert verify_judgment(valid)
-    assert verify_judgment(eliminate_single_classical(valid, c).after)
+    assert verify_judgment(recorded_judgment(eliminate_single_classical(valid, c)))
 
 
 def test_single_classical_tau():
@@ -115,10 +116,10 @@ def test_single_classical_tau():
     st = eliminate_single_classical(j, c)
     assert st.after.goal == pf("D(tau x. A(x)) | D(s_0)")
     # the one-atom tau instance of excluded middle, as complete elimination records it
-    assert st.after.instances == (pf("A(s_0) | ~A(s_0)"),)
-    assert st.after.instances == eliminate_complete_classical(j, c.critical_term).after.instances
+    assert recorded(st) == (pf("A(s_0) | ~A(s_0)"),)
+    assert recorded(st) == recorded(eliminate_complete_classical(j, c.critical_term))
     valid = make_judgment(CLASSICAL, [c.rendered], c.rendered)
-    assert verify_judgment(eliminate_single_classical(valid, c).after)
+    assert verify_judgment(recorded_judgment(eliminate_single_classical(valid, c)))
 
 
 def test_single_classical_degenerate_witness():
@@ -135,7 +136,7 @@ def test_single_classical_retains_other_criticals_of_e():
     j = make_judgment(CLASSICAL, [c1.rendered, c2], c2)
     st = eliminate_single_classical(j, c1)
     assert c2 in st.after.criticals  # kept unsubstituted
-    assert verify_judgment(st.after)
+    assert verify_judgment(recorded_judgment(st))
 
 
 def test_complete_classical_k1_equals_single():
@@ -144,7 +145,7 @@ def test_complete_classical_k1_equals_single():
     single = eliminate_single_classical(j, c)
     complete = eliminate_complete_classical(j, pt("eps x. A(x)"))
     assert single.after == complete.after
-    assert single.after.instances == complete.after.instances
+    assert recorded(single) == recorded(complete)
 
 
 def test_complete_classical_counts_and_instance():
@@ -157,9 +158,9 @@ def test_complete_classical_counts_and_instance():
     st = eliminate_complete_classical(j, e)
     assert st.elimination_set == (e, pt("c"), pt("d"))
     assert len(or_spine(st.after.goal)) <= 3
-    assert st.after.instances == (pf("A(c) | A(d) | ~A(c) & ~A(d)"),)
-    assert is_em_instance(st.after.instances[0])
-    assert verify_judgment(st.after)
+    assert recorded(st) == (pf("A(c) | A(d) | ~A(c) & ~A(d)"),)
+    assert is_em_instance(recorded(st)[0])
+    assert verify_judgment(recorded_judgment(st))
 
 
 def test_complete_classical_tau_dual():
@@ -170,9 +171,9 @@ def test_complete_classical_tau_dual():
         pf("A(tau x. A(x)) -> A(c)"),
     )
     st = eliminate_complete_classical(j, e)
-    assert st.after.instances == (pf("A(c) & A(d) | ~A(c) | ~A(d)"),)
-    assert is_em_instance(st.after.instances[0])
-    assert verify_judgment(st.after)
+    assert recorded(st) == (pf("A(c) & A(d) | ~A(c) | ~A(d)"),)
+    assert is_em_instance(recorded(st)[0])
+    assert verify_judgment(recorded_judgment(st))
 
 
 def test_complete_classical_impredicative_witness():
@@ -181,7 +182,7 @@ def test_complete_classical_impredicative_witness():
     j = make_judgment(CLASSICAL, [u], pf("D(eps x. P(x))"))
     st = eliminate_complete_classical(j, e)
     assert st.elimination_set == (e, pt("f(eps x. P(x))"))
-    assert verify_judgment(st.after).holds == verify_judgment(j).holds
+    assert verify_judgment(recorded_judgment(st)).holds == verify_judgment(j).holds
 
 
 def _iterate_single(j, e):
@@ -250,8 +251,8 @@ def test_jankov_single():
     )
     st = eliminate_negated_jankov(j, pt("eps x. A(x)"))
     assert st.after.goal == pf("~D(eps x. A(x)) | ~D(s_0)")
-    assert st.after.instances == (pf("~A(s_0) | ~~A(s_0)"),)
-    assert is_weak_em_instance(st.after.instances[0])
+    assert recorded(st) == (pf("~A(s_0) | ~~A(s_0)"),)
+    assert is_weak_em_instance(recorded(st)[0])
 
 
 def test_jankov_rejects_unnegated_goal():
@@ -271,8 +272,8 @@ def test_jankov_two_witnesses_verifies_intuitionistically():
     assert verify_judgment(j)
     st = eliminate_negated_jankov(j, pt("eps x. A(x)"))
     assert len(or_spine(st.after.goal)) == 3
-    assert is_weak_em_instance(st.after.instances[0])
-    assert verify_judgment(st.after)
+    assert is_weak_em_instance(recorded(st)[0])
+    assert verify_judgment(recorded_judgment(st))
 
 
 def test_jankov_tau_dual_verifies():
@@ -280,7 +281,7 @@ def test_jankov_tau_dual_verifies():
     j = make_judgment(KC, [pf("A(tau x. A(x)) -> A(s1)")], goal)
     assert verify_judgment(j)
     st = eliminate_negated_jankov(j, pt("tau x. A(x)"))
-    assert verify_judgment(st.after)
+    assert verify_judgment(recorded_judgment(st))
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +298,9 @@ def test_pred_lin_two_witnesses():
     st = eliminate_predicative_lin(j, e)
     assert st.elimination_set == (pt("u"), pt("v"))
     assert st.after.goal == pf("(A(u) -> A(u)) | (A(u) -> A(v))")
-    inst = st.after.instances[0]
+    inst = recorded(st)[0]
     assert is_bigdisj_instance(inst)
-    assert verify_judgment(st.after)
+    assert verify_judgment(recorded_judgment(st))
 
 
 def test_pred_lin_single_witness():
@@ -307,7 +308,7 @@ def test_pred_lin_single_witness():
     j = make_judgment(LC, [pf("A(u) -> A(eps x. A(x))")], pf("A(u) -> A(eps x. A(x))"))
     st = eliminate_predicative_lin(j, e)
     assert st.after.goal == pf("A(u) -> A(u)")
-    assert st.after.instances == (pf("A(u) -> A(u)"),)
+    assert recorded(st) == (pf("A(u) -> A(u)"),)
 
 
 def test_pred_lin_rejects_impredicative():
@@ -325,8 +326,8 @@ def test_pred_lin_tau():
         pf("A(tau x. A(x)) -> A(u)"),
     )
     st = eliminate_predicative_lin(j, e)
-    assert is_bigdisj_instance(st.after.instances[0])
-    assert verify_judgment(st.after)
+    assert is_bigdisj_instance(recorded(st)[0])
+    assert verify_judgment(recorded_judgment(st))
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +335,13 @@ def test_pred_lin_tau():
 
 
 def test_bm_first_expansion_stage():
-    j = lc3_worked_judgment()
-    e = pt("eps x. A(x)")
-    goal, chains = bm_stage(j, e, 2)
-    assert len(or_spine(goal)) == 3  # D(e) | D(se) | D(te)
-    assert chains == [
+    # stage 2 of the chain expansion is the whole expansion on lc2: the goal
+    # over the words of length < 2, and first the chains through length 2
+    worked = lc3_worked_judgment()
+    j = make_judgment(lcm(2), worked.criticals, worked.goal)
+    st = eliminate_impredicative_Bm(j, pt("eps x. A(x)"), 2)
+    assert len(or_spine(st.after.goal)) == 3  # D(e) | D(se) | D(te)
+    assert list(recorded(st)[:4]) == [
         pf("(A(s(s(eps x. A(x)))) -> A(s(eps x. A(x)))) | (A(s(eps x. A(x))) -> A(eps x. A(x)))"),
         pf("(A(s(t(eps x. A(x)))) -> A(t(eps x. A(x)))) | (A(t(eps x. A(x))) -> A(eps x. A(x)))"),
         pf("(A(t(s(eps x. A(x)))) -> A(s(eps x. A(x)))) | (A(s(eps x. A(x))) -> A(eps x. A(x)))"),
@@ -365,9 +368,9 @@ def test_bm_full_expansion_words():
     assert pf("A(v) -> A(eps x. A(x))") in st.after.criticals
     # 8 word chains plus 8 three-link absorption chains, one per u, v and
     # length-2 word; every one is a theorem of lc3
-    assert len(st.after.instances) == 16
-    assert all(is_implication_chain(i) for i in st.after.instances)
-    assert all(len(or_spine(i)) == 3 for i in st.after.instances)
+    assert len(recorded(st)) == 16
+    assert all(is_implication_chain(i) for i in recorded(st))
+    assert all(len(or_spine(i)) == 3 for i in recorded(st))
 
 
 def test_bm_errors():
@@ -391,8 +394,8 @@ def test_bm_m2_classical_agrees_with_complete():
     complete_step = eliminate_complete_classical(j, e)
     assert set(chain_step.elimination_set) == set(complete_step.elimination_set)
     assert or_spine(chain_step.after.goal) == or_spine(complete_step.after.goal)
-    assert verify_judgment(chain_step.after)
-    assert verify_judgment(complete_step.after)
+    assert verify_judgment(recorded_judgment(chain_step))
+    assert verify_judgment(recorded_judgment(complete_step))
 
 
 def test_complete_gm_phases():
@@ -403,7 +406,7 @@ def test_complete_gm_phases():
     assert steps[1].elimination_set == (pt("u"), pt("v"))
     assert len(or_spine(steps[1].after.goal)) == 14
     assert steps[1].after.criticals == ()
-    assert verify_judgment(steps[1].after)
+    assert verify_judgment(recorded_judgment(steps[1]))
 
 
 def test_complete_gm_pred_only_is_single_step():
@@ -418,7 +421,7 @@ def test_complete_gm_impred_only():
     j = make_judgment(lcm(3), [u], u)
     steps = eliminate_complete_Gm(j, pt("eps x. A(x)"), 3)
     assert len(steps) == 1
-    assert all(verify_judgment(s.after) for s in steps)
+    assert all(verify_judgment(recorded_judgment(s)) for s in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +588,7 @@ def test_reconstruct_valid_disjunction_verifies_stepwise():
     j, trace = reconstruct_from_herbrand(disj, skeleton, ["x", "y"])
     assert verify_judgment(j)
     for st in trace.steps:
-        assert verify_judgment(st.after)
+        assert verify_judgment(recorded_judgment(st))
     assert set(or_spine(trace.result)) == set(or_spine(disj))
 
 
@@ -676,7 +679,7 @@ def test_step_soundness_random():
         j = random_classical_judgment(rng)
         if not verify_judgment(j):
             continue
-        holds = [verify_judgment(st.after) for st in run_elimination(j).steps]
+        holds = [verify_judgment(recorded_judgment(st)) for st in run_elimination(j).steps]
         assert all(holds)
 
 
@@ -687,7 +690,7 @@ def test_instance_honesty_random(logic):
     for _ in range(25):
         j = random_classical_judgment(rng, logic)
         for st in run_elimination(j).steps:
-            for inst in st.after.instances:
+            for inst in recorded(st):
                 assert is_em_instance(inst) or is_implication_chain(inst) or is_bigdisj_instance(inst)
                 assert godel_oracle(inst, size), to_text(inst)
 
@@ -704,8 +707,8 @@ def test_verified_worked_example_query_count(monkeypatch):
     monkeypatch.setattr(semantics, "decide", counting_decide)
     trace = run_elimination(lc3_worked_judgment(), verify="steps")
     assert len(calls) == 1 + len(trace.steps) == 3
-    recorded = {f for st in trace.steps for f in st.after.instances}
-    assert len(recorded) > 10 and not recorded & {goal for _, goal in calls}
+    instances = {f for st in trace.steps for f in recorded(st)}
+    assert len(instances) > 10 and not instances & {goal for _, goal in calls}
 
 
 def test_run_elimination_owns_the_final_check():
@@ -745,7 +748,7 @@ def _guard_cases(logic):
 def test_each_step_refuses_exactly_what_its_table_row_refuses(logic):
     for kind, arity, step, refusal in _guard_cases(logic):
         if semantics.proves(logic, kind, arity):
-            assert step().after.instances
+            assert step().axiom_instances_used
         else:
             with pytest.raises(ValueError) as ex:
                 step()
@@ -774,7 +777,7 @@ def test_text_memo_prints_each_step_as_plain_printing():
             objs = []
             for st in trace.steps:
                 objs.extend([st.target, *st.elimination_set, *st.eliminated])
-                objs.extend([*st.after.criticals, *st.after.instances, st.after.goal])
+                objs.extend([*st.after.criticals, *recorded(st), st.after.goal])
             objs.append(trace.result)
             memo: dict = {}
             assert [to_text(o, memo) for o in objs] == [to_text(o) for o in objs]
@@ -855,15 +858,16 @@ def test_after_judgment_holds_only_its_step_instances():
         steps = run_elimination(j).steps
         size = j.logic.m or 2
         for i, st in enumerate(steps):
-            assert st.after.instances == st.axiom_instances_used
-            carried = list(st.after.instances)
+            own = recorded(st)
+            assert st.after.instances == () and own
+            carried = list(own)
             for later in steps[i + 1 :]:
                 carried = [
                     syntax.subst_term(f, later.target, t)
                     for t in later.elimination_set
                     for f in carried
                 ]
-                copies += sum(f not in st.after.instances for f in carried)
+                copies += sum(f not in own for f in carried)
                 for f in carried:
                     [letters], _ = letter_atoms([f])
                     if (letters, size) not in checked:

@@ -11,6 +11,7 @@ from epsitau import semantics
 from epsitau.semantics import (
     BudgetExceededError,
     GodelChain,
+    Instance,
     Verdict,
     counterexample_Bm,
     decide,
@@ -26,7 +27,7 @@ from epsitau.semantics import (
     verify_judgment,
 )
 from epsitau.eliminate import run_elimination
-from epsitau.syntax import And, Atom, Bot, Implies, Not, Or, Top, and_join, or_join, to_text
+from epsitau.syntax import And, Atom, Bot, Implies, Not, Or, Top, and_join, or_join, sharing, to_text
 
 from helpers import (
     godel_oracle,
@@ -397,6 +398,26 @@ def test_schema_polarity_and_arity():
         schema("EM", ["A"], polarity="up")
     with pytest.raises(ValueError):
         schema("Bm", ["A"])
+
+
+def test_instance_record_prints_as_its_schema_formula():
+    # a record's formula is built anew for each print, through one trace
+    # memo; B(eps x. A(x)) sits next to the free x of A(x) in some records,
+    # where its binder is renamed apart, and alone in others
+    with sharing():
+        pool = [pf(t) for t in ("B(eps x. A(x))", "A(x)", "C(f(eps x. A(x)))", "~D(y)", "A(eps y. B(y))")]
+    memo: dict = {}
+    for kind in ("EM", "J", "bigdisj", "Bm"):
+        for polarity in ("eps", "tau"):
+            for arity in range(1, 7):
+                for start in range(len(pool)):
+                    atoms = tuple(pool[(start + i) % len(pool)] for i in range(arity + (kind == "Bm")))
+                    inst = Instance(kind, polarity, atoms)
+                    assert inst.arity == arity
+                    assert to_text(atoms[0], memo) == to_text(atoms[0])
+                    expected = to_text(schema(kind, atoms, polarity=polarity))
+                    assert to_text(inst.formula, memo) == expected, (kind, polarity, arity, start)
+    assert "eps x'. A(x')" in to_text(Instance("EM", "eps", tuple(pool[:2])).formula, memo)
 
 
 # ---------------------------------------------------------------------------
