@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import eliminate as elim
 from . import semantics
@@ -68,21 +69,19 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict else EXIT_INVALID
 
 
-def _trace_lines(trace: elim.EliminationTrace) -> list[str]:
+def _trace_lines(trace: elim.EliminationTrace) -> Iterator[str]:
     memo: dict = {}  # one text memo for the trace; see syntax.to_text
-    lines = []
     for i, st in enumerate(trace.steps, start=1):
-        lines.append(f"step {i}: eliminate {to_text(st.target, memo)}")
-        lines.append(f"  set: {', '.join(to_text(t, memo) for t in st.elimination_set)}")
+        yield f"step {i}: eliminate {to_text(st.target, memo)}"
+        yield f"  set: {', '.join(to_text(t, memo) for t in st.elimination_set)}"
         for f in st.eliminated:
-            lines.append(f"  removed: {to_text(f, memo)}")
+            yield f"  removed: {to_text(f, memo)}"
         for inst in st.axiom_instances_used:
-            lines.append(f"  instance: {to_text(inst.formula, memo)}")
-        lines.append(f"  goal: {to_text(st.after.goal, memo)}")
+            yield f"  instance: {to_text(inst.formula, memo)}"
+        yield f"  goal: {to_text(st.after.goal, memo)}"
     for t, name in trace.grounding:
-        lines.append(f"ground {to_text(t, memo)} as {name}")
-    lines.append(f"result: {to_text(trace.result, memo)}")
-    return lines
+        yield f"ground {to_text(t, memo)} as {name}"
+    yield f"result: {to_text(trace.result, memo)}"
 
 
 def cmd_eliminate(args) -> int:

@@ -41,20 +41,17 @@ from .syntax import (
 class CriticalFormula:
     """One reading of a formula as a critical formula.
 
-    kind is "eps" or "tau"; critical_term is the binder term whose body is
-    the matrix; witness is the instantiated side's term.
+    critical_term is the binder term whose body is the matrix; witness is
+    the instantiated side's term.  kind ("eps" or "tau") is read off the
+    critical term.
     """
 
-    kind: str
     critical_term: Term
     witness: Term
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("eps", "tau"):
-            raise ValueError(f"kind must be 'eps' or 'tau', not {self.kind!r}")
-        expected = Eps if self.kind == "eps" else Tau
-        if not isinstance(self.critical_term, expected):
-            raise ValueError(f"critical term does not match kind {self.kind!r}")
+    @property
+    def kind(self) -> str:
+        return "eps" if isinstance(self.critical_term, Eps) else "tau"
 
     def matrix_pair(self, hole: str = "x") -> tuple[str, Formula]:
         """The matrix A(hole) and the hole name actually used."""
@@ -85,11 +82,12 @@ class CriticalFormula:
 
 def make_critical(matrix: Formula, hole: str, kind: str, witness: Term) -> CriticalFormula:
     """Build A(t) -> A(eps x.A) or A(tau x.A) -> A(t) from a matrix with a hole."""
+    if kind not in ("eps", "tau"):
+        raise ValueError(f"kind must be 'eps' or 'tau', not {kind!r}")
     if not is_quantifier_free(matrix):
         raise ValueError(f"matrix must be quantifier-free: {to_text(matrix)}")
     body = abstract_var(matrix, hole)
-    term = Eps(hole, body) if kind == "eps" else Tau(hole, body)
-    return CriticalFormula(kind, term, witness)
+    return CriticalFormula((Eps if kind == "eps" else Tau)(hole, body), witness)
 
 
 def recognize_critical(phi: Formula) -> list[CriticalFormula]:
@@ -116,15 +114,11 @@ def recognize_critical(phi: Formula) -> list[CriticalFormula]:
         if instantiate(body, e) != fixed:
             continue
         for witness in _solve_body(body, solved):
-            readings.append(CriticalFormula(_kind_of(e), e, witness))
+            readings.append(CriticalFormula(e, witness))
     readings.sort(
         key=lambda c: (c.kind, canonical_text(c.critical_term), canonical_text(c.witness))
     )
     return list(dedup(readings))
-
-
-def _kind_of(e: Term) -> str:
-    return "eps" if isinstance(e, Eps) else "tau"
 
 
 def _solve_body(body: Formula, target: Formula) -> list[Term]:

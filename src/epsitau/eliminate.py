@@ -386,7 +386,7 @@ def _finish(j: Judgment, steps: list[EliminationStep], sig: Signature) -> Elimin
     goal = j.goal
     grounding: list[tuple[Term, str]] = []
     while residuals := etau_subterms(goal):
-        name = sig.fresh("c", arity=0)
+        name = sig.fresh("c")
         goal = subst_term(goal, residuals[0], App(name, ()))
         grounding.append((residuals[0], name))
     result = or_join(dedup(or_spine(goal)))

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
 
 
@@ -814,55 +813,32 @@ def canonical_text(obj: Obj) -> str:
 # Signatures
 
 
-@dataclass(frozen=True, slots=True)
-class Symbol:
-    name: str
-    arity: int
-    kind: str  # "function", "predicate" or "propositional-atom"
-
-
 class Signature:
-    """Declared symbols plus a fresh-name source that never collides with them.
+    """The names in use, plus a fresh-name source that never collides with them.
 
-    A name may be declared at several arities: grounding and Skolemizing
-    need only the names to avoid.
+    Function, predicate, variable and binder names share one pool: grounding
+    and Skolemizing need only the names to avoid.
     """
 
     def __init__(self) -> None:
-        self._symbols: set[Symbol] = set()
         self._names: set[str] = set()
 
-    def declare(self, name: str, arity: int, kind: str) -> Symbol:
-        sym = Symbol(name, arity, kind)
-        self._symbols.add(sym)
-        self._names.add(name)
-        return sym
-
-    def symbols(self) -> list[Symbol]:
-        return sorted(self._symbols, key=lambda s: (s.kind, s.name, s.arity))
-
-    def fresh(self, base: str, arity: int = 0, kind: str = "function") -> str:
+    def fresh(self, base: str) -> str:
         n = 1
         while f"{base}_{n}" in self._names:
             n += 1
         name = f"{base}_{n}"
-        self.declare(name, arity, kind)
-        return name
-
-    def note_name(self, name: str) -> None:
         self._names.add(name)
+        return name
 
     def extend(self, obj: Obj) -> None:
         for node in _nodes(obj):
             match node:
-                case Var(n):
-                    self.note_name(n)
-                case App(head, args):
-                    self.declare(head, len(args), "function")
-                case Atom(pred, args):
-                    self.declare(pred, len(args), "predicate" if args else "propositional-atom")
-                case Eps(hint, _) | Tau(hint, _) | Forall(hint, _) | Exists(hint, _):
-                    self.note_name(hint)
+                case (
+                    Var(name) | App(name, _) | Atom(name, _)
+                    | Eps(name, _) | Tau(name, _) | Forall(name, _) | Exists(name, _)
+                ):
+                    self._names.add(name)
 
     @classmethod
     def collect(cls, *objs: Obj) -> "Signature":

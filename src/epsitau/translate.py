@@ -4,8 +4,9 @@ et_translate replaces quantifiers by epsilon/tau terms, innermost first.
 shadow collapses a formula to its propositional skeleton.  Each is one
 bottom-up syntax.transform walk, nested quantifiers included.
 herbrand_form computes the purely existential form of a prenex formula.
-The quantifier shift schemas come in two tables: those whose translations
-*are* critical formulas, and those provable from one critical formula by
+quantifier_shift_instance builds each quantifier shift schema and reads its
+certificate off its translation with recognize_critical: nine translations
+*are* critical formulas, and eight follow from one critical formula by
 modus ponens with an intuitionistic principle.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .critical import recognize_critical
 from .syntax import (
     And,
     App,
@@ -32,7 +34,6 @@ from .syntax import (
     Top,
     Var,
     contains_etau,
-    eps,
     exists,
     forall,
     free_vars,
@@ -40,7 +41,6 @@ from .syntax import (
     is_quantifier_free,
     rebuild,
     subst_var,
-    tau,
     to_text,
     transform,
 )
@@ -88,7 +88,7 @@ def _shadow_build(node: Formula, kids: tuple[Formula, ...]) -> Formula:
     return kids[0] if isinstance(node, (Forall, Exists)) else rebuild(node, kids)
 
 
-def herbrand_form(phi: Formula, signature: Signature | None = None) -> Formula:
+def herbrand_form(phi: Formula) -> Formula:
     """Purely existential form of a prenex formula.
 
     Each universal variable becomes a fresh function symbol applied to the
@@ -98,7 +98,7 @@ def herbrand_form(phi: Formula, signature: Signature | None = None) -> Formula:
     """
     if contains_etau(phi):
         raise ValueError("input must be epsilon/tau free")
-    sig = signature if signature is not None else Signature.collect(phi)
+    sig = Signature.collect(phi)
     prefix: list[tuple[str, str]] = []
     body = phi
     taken = set(free_vars(phi))
@@ -117,7 +117,7 @@ def herbrand_form(phi: Formula, signature: Signature | None = None) -> Formula:
         if kind == "ex":
             existentials.append(name)
         else:
-            fresh = sig.fresh(name, arity=len(existentials))
+            fresh = sig.fresh(name)
             body = subst_var(body, name, App(fresh, tuple(Var(x) for x in existentials)))
     for name in reversed(existentials):
         body = exists(name, body)
@@ -216,9 +216,14 @@ def quantifier_shift_instance(
     """Instantiate a shift schema with A(hole) := matrix and B := other.
 
     Returns the first-order shift formula, its translation, and the
-    certificate justifying the translation from critical formulas.
+    certificate justifying the translation from critical formulas, read off
+    the translation by recognize_critical: a critical kind's translation is
+    its own critical formula, and an MP kind's has one a1 -> a2 where its two
+    sides differ, the first such pair met on the way down.
     """
     K = QuantifierShiftKind
+    if hole not in free_vars(matrix):
+        raise ValueError(f"the matrix does not mention {hole!r}, so it has no critical formula")
     if kind is not K.K:
         if other is None:
             raise ValueError(f"{kind.value} needs the side formula B")
@@ -226,7 +231,6 @@ def quantifier_shift_instance(
             raise ValueError(f"the bound variable {hole!r} must not be free in B")
     a = matrix
     b = other
-    x = Var(hole)
 
     def ex_(f: Formula) -> Formula:
         return exists(hole, f)
@@ -273,93 +277,29 @@ def quantifier_shift_instance(
             raise ValueError(f"unknown kind {kind}")
 
     translation = et_translate(shift)
-
-    at = et_translate(a)
-    bt = et_translate(b) if b is not None else None
-    eps_a = eps(hole, at)
-    tau_a = tau(hole, at)
-
-    def crit(c: Formula, t1: Term, t2: Term) -> CriticalWitness:
-        expected = Implies(subst_var(c, hole, t1), subst_var(c, hole, t2))
-        assert expected == translation, f"table mismatch for {kind}"
-        return CriticalWitness(c, hole, t1, t2)
-
-    def mp(a1: Formula, a2: Formula, principle: Formula) -> ModusPonensWitness:
-        return ModusPonensWitness(Implies(a1, a2), principle)
-
-    cert: CriticalWitness | ModusPonensWitness
-    match kind:
-        case K.CD:
-            c = Or(at, bt)
-            cert = crit(c, tau(hole, c), tau_a)
-        case K.EXISTS_OR:
-            c = Or(at, bt)
-            cert = crit(c, eps_a, eps(hole, c))
-        case K.FORALL_AND:
-            c = And(at, bt)
-            cert = crit(c, tau(hole, c), tau_a)
-        case K.EXISTS_AND:
-            c = And(at, bt)
-            cert = crit(c, eps_a, eps(hole, c))
-        case K.Q_EXISTS:
-            c = Implies(bt, at)
-            cert = crit(c, eps_a, eps(hole, c))
-        case K.FORALL_IMP:
-            c = Implies(bt, at)
-            cert = crit(c, tau(hole, c), tau_a)
-        case K.Q_FORALL:
-            c = Implies(at, bt)
-            cert = crit(c, tau_a, eps(hole, c))
-        case K.FORALL_IMP_EXISTS:
-            c = Implies(at, bt)
-            cert = crit(c, tau(hole, c), eps_a)
-        case K.K:
-            c = Not(Not(at))
-            cert = crit(c, tau(hole, c), tau_a)
-        case K.OR_FORALL | K.OR_EXISTS | K.AND_FORALL | K.AND_EXISTS | K.IMP_EXISTS | K.IMP_FORALL:
-            if kind is K.OR_FORALL:
-                a1, a2 = _inst(at, hole, tau_a), _inst(at, hole, tau(hole, Or(at, bt)))
-            elif kind is K.OR_EXISTS:
-                a1, a2 = _inst(at, hole, eps(hole, Or(at, bt))), _inst(at, hole, eps_a)
-            elif kind is K.AND_FORALL:
-                a1, a2 = _inst(at, hole, tau_a), _inst(at, hole, tau(hole, And(at, bt)))
-            elif kind is K.AND_EXISTS:
-                a1, a2 = _inst(at, hole, eps(hole, And(at, bt))), _inst(at, hole, eps_a)
-            elif kind is K.IMP_EXISTS:
-                a1, a2 = _inst(at, hole, eps(hole, Implies(bt, at))), _inst(at, hole, eps_a)
-            else:  # IMP_FORALL
-                a1, a2 = _inst(at, hole, tau_a), _inst(at, hole, tau(hole, Implies(bt, at)))
-            if kind in (K.OR_FORALL, K.OR_EXISTS):
-                framed = Implies(Or(a1, bt), Or(a2, bt))
-            elif kind in (K.AND_FORALL, K.AND_EXISTS):
-                framed = Implies(And(a1, bt), And(a2, bt))
-            else:
-                framed = Implies(Implies(bt, a1), Implies(bt, a2))
-            principle = Implies(Implies(a1, a2), framed)
-            assert framed == translation, f"table mismatch for {kind}"
-            cert = mp(a1, a2, principle)
-        case K.ANTE_EXISTS | K.ANTE_FORALL:
-            if kind is K.ANTE_EXISTS:
-                a1 = _inst(at, hole, tau_a)
-                a2 = _inst(at, hole, eps(hole, Implies(at, bt)))
-            else:
-                a1 = _inst(at, hole, tau(hole, Implies(at, bt)))
-                a2 = _inst(at, hole, eps_a)
-            principle = Implies(
-                Implies(a1, a2), Implies(Implies(a2, bt), Implies(a1, bt))
-            )
-            assert Implies(Implies(a2, bt), Implies(a1, bt)) == translation, (
-                f"table mismatch for {kind}"
-            )
-            cert = mp(a1, a2, principle)
-        case _:
-            raise AssertionError
-
+    if kind in CRITICAL_KINDS:
+        r = recognize_critical(translation)[0]
+        t1, t2 = (r.witness, r.critical_term) if r.kind == "eps" else (r.critical_term, r.witness)
+        used, c = r.matrix_pair(hole)
+        return ShiftInstance(kind, shift, translation, CriticalWitness(c, used, t1, t2))
+    a1, a2 = _differing_pair(translation.left, translation.right)
+    while not recognize_critical(Implies(a1, a2)):
+        a1, a2 = _differing_pair(a1, a2)
+    critical = Implies(a1, a2)
+    cert = ModusPonensWitness(critical, Implies(critical, translation))
     return ShiftInstance(kind, shift, translation, cert)
 
 
-def _inst(matrix: Formula, hole: str, t: Term) -> Formula:
-    return subst_var(matrix, hole, t)
+def _differing_pair(left: Formula, right: Formula) -> tuple[Formula, Formula]:
+    """The one pair of children at which like-built left and right differ.
+
+    Under an implication's antecedent the pair is swapped, so left -> right
+    still follows from the implication of the returned pair.
+    """
+    (i,) = [i for i, (l, r) in enumerate(zip(left._kids(), right._kids())) if l != r]
+    if isinstance(left, Implies) and i == 0:
+        return right.left, left.left
+    return left._kids()[i], right._kids()[i]
 
 
 def standard_quantifier_axioms(matrix: Formula, hole: str, witness: Term) -> list[Formula]:

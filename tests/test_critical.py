@@ -50,6 +50,17 @@ def test_make_rejects_quantifiers():
         make_critical(pf("all y. R(x, y)"), "x", "eps", pt("c"))
 
 
+def test_make_rejects_an_unknown_kind():
+    with pytest.raises(ValueError):
+        make_critical(pf("P(x)"), "x", "delta", pt("c"))
+
+
+def test_kind_is_read_off_the_critical_term():
+    assert [c.kind for c in recognize_critical(pf("P(c) -> P(eps x. P(x))"))] == ["eps"]
+    assert [c.kind for c in recognize_critical(pf("P(tau x. P(x)) -> P(c)"))] == ["tau"]
+    assert make_critical(pf("P(x)"), "x", "tau", pt("c")).kind == "tau"
+
+
 def test_term_never_inside_own_matrix():
     c = make_critical(pf("P(x)"), "x", "eps", pt("c"))
     assert not occurs(c.critical_term, c.matrix())

@@ -1,5 +1,7 @@
+import dataclasses
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,6 @@ from epsitau.semantics import prove_H, verify_judgment
 from epsitau.syntax import (
     Eps,
     Implies,
-    Signature,
     Tau,
     alpha_eq,
     contains_etau,
@@ -21,6 +22,7 @@ from epsitau.syntax import (
     or_spine,
     subst_var,
     tau,
+    to_text,
 )
 from epsitau.translate import (
     CRITICAL_KINDS,
@@ -162,10 +164,12 @@ def test_herbrand_form_leading_universal():
 
 
 def test_herbrand_form_fresh_symbol_count():
-    sig = Signature()
-    out = herbrand_form(pf("all x. ex y. all z. T(x, y, z)"), sig)
-    assert len([s for s in sig.symbols() if s.kind == "function"]) == 2
+    out = herbrand_form(pf("all x. ex y. all z. T(x, y, z)"))
     assert out == pf("ex y. T(x_1, y, z_1(y))")
+
+
+def test_herbrand_form_skolem_constant_avoids_the_input_names():
+    assert herbrand_form(pf("all x. R(x, x_1)")) == pf("R(x_2, x_1)")
 
 
 def test_herbrand_form_rejects_non_prenex():
@@ -269,6 +273,39 @@ def test_or_forall_certificate_matches_display():
     )
 
 
+def test_vacuous_matrix_rejected():
+    # the recognizer refuses a body that ignores its variable, so no kind
+    # has a critical formula for it
+    for kind in QuantifierShiftKind:
+        with pytest.raises(ValueError):
+            quantifier_shift_instance(kind, pf("A(y)"), "x", B)
+
+
+def test_random_certificates_are_read_off_their_translations():
+    rng = random.Random(22)
+    done = 0
+    while done < 100:
+        matrix = random_matrix(rng, 3, "x")
+        side = random_formula(rng, 2, ["y"])
+        if contains_etau(matrix) or contains_etau(side):
+            continue
+        done += 1
+        for kind in CRITICAL_KINDS:
+            si = quantifier_shift_instance(kind, matrix, "x", side)
+            cert = si.certificate
+            assert isinstance(cert, CriticalWitness)
+            assert si.translation == Implies(
+                subst_var(cert.matrix, cert.hole, cert.t1),
+                subst_var(cert.matrix, cert.hole, cert.t2),
+            )
+        for kind in MP_KINDS:
+            si = quantifier_shift_instance(kind, matrix, "x", side)
+            cert = si.certificate
+            assert isinstance(cert, ModusPonensWitness)
+            assert recognize_critical(cert.critical)
+            assert cert.principle == Implies(cert.critical, si.translation)
+
+
 def test_x_free_in_b_rejected():
     with pytest.raises(ValueError):
         quantifier_shift_instance(QuantifierShiftKind.CD, A, "x", pf("B(x)"))
@@ -279,3 +316,35 @@ def test_table_witnesses_predicative_status_consistent():
         si = _instance(kind)
         for r in recognize_critical(si.translation):
             assert is_predicative(r) in (True, False)
+
+
+# Written from a hand-written table of the 17 certificates, before the
+# certificates were read off the translations instead.
+GOLDEN_SHIFTS = Path(__file__).parent / "golden" / "quantifier_shift_certificates.txt"
+
+
+def shift_certificate_text(matrix, side):
+    """Each kind's shift, translation and certificate fields, one per line."""
+    lines = [f"matrix: {to_text(matrix)}", f"side: {to_text(side)}"]
+    for kind in QuantifierShiftKind:
+        si = quantifier_shift_instance(
+            kind, matrix, "x", None if kind is QuantifierShiftKind.K else side
+        )
+        lines += [kind.value, f"  shift: {to_text(si.shift)}"]
+        lines.append(f"  translation: {to_text(si.translation)}")
+        cert = si.certificate
+        for field in dataclasses.fields(cert):
+            value = getattr(cert, field.name)
+            text = value if isinstance(value, str) else to_text(value)
+            lines.append(f"  {type(cert).__name__}.{field.name}: {text}")
+    return "".join(line + "\n" for line in lines)
+
+
+def golden_shift_text():
+    return shift_certificate_text(A, B) + shift_certificate_text(
+        pf("P(x, c) & Q(x)"), pf("R | S(d)")
+    )
+
+
+def test_shift_certificates_match_golden():
+    assert golden_shift_text().encode() == GOLDEN_SHIFTS.read_bytes()
