@@ -195,8 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="epsilon/tau translation of a formula")
     p.add_argument("formula")
-    p.add_argument("--shadow", action="store_true", help="print the propositional shadow")
-    p.add_argument("--herbrandize", action="store_true", help="print the Herbrand form (prenex input)")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--shadow", action="store_true", help="print the propositional shadow")
+    form.add_argument("--herbrandize", action="store_true", help="print the Herbrand form (prenex input)")
     p.set_defaults(fn=cmd_translate)
 
     p = sub.add_parser("check", help="validity of a propositional/quantifier-free formula")

@@ -28,6 +28,7 @@ from .syntax import (
     dedup,
     etau_subterms,
     free_vars,
+    fresh,
     instantiate,
     is_quantifier_free,
     locally_closed,
@@ -55,8 +56,7 @@ class CriticalFormula:
 
     def matrix_pair(self, hole: str = "x") -> tuple[str, Formula]:
         """The matrix A(hole) and the hole name actually used."""
-        while hole in free_vars(self.critical_term.body):
-            hole += "'"
+        hole = fresh(hole, set(free_vars(self.critical_term.body)))
         return hole, instantiate(self.critical_term.body, Var(hole))
 
     def matrix(self, hole: str = "x") -> Formula:

@@ -34,7 +34,6 @@ from .syntax import (
     Formula,
     Implies,
     Not,
-    Signature,
     Term,
     Var,
     canonical_text,
@@ -43,9 +42,12 @@ from .syntax import (
     eps,
     etau_subterms,
     free_vars,
+    fresh,
+    fresh_numbered,
     instantiate,
     interned,
     match_holes,
+    names,
     or_join,
     or_spine,
     sharing,
@@ -246,13 +248,12 @@ def strengthen_premise(
     a: Formula,
     b: Formula,
     justification: str = "",
-    verify: bool = False,
     budget: int = semantics.DEFAULT_BUDGET,
 ) -> Judgment:
-    """Replace premise A by B, justified by B |- A in the judgment's logic."""
+    """Replace premise A by B, once the backend shows B |- A in the judgment's logic."""
     if a not in j.criticals:
         raise ValueError(f"premise not present: {to_text(a)}")
-    if verify and not semantics.decide(j.logic, [b], a, budget):
+    if not semantics.decide(j.logic, [b], a, budget):
         raise EliminationError(
             f"justification {justification!r} failed: {to_text(b)} |- {to_text(a)}"
         )
@@ -377,16 +378,17 @@ DRIVERS = {"hb": ("classical", "lcm"), "weak-lin": ("lc",), "jankov": None}
 VERIFY_LEVELS = ("none", "steps", "full")  # what run_elimination checks, see there
 
 
-def _finish(j: Judgment, steps: list[EliminationStep], sig: Signature) -> EliminationTrace:
+def _finish(j: Judgment, steps: list[EliminationStep], taken: set[str]) -> EliminationTrace:
     """The trace, with each alpha-class of residual terms grounded as a fresh constant.
 
-    ``sig`` is the input judgment's signature: elimination adds no symbols,
-    so the fresh names avoid every name of the final judgment as well.
+    The constants are the first of c_1, c_2, ... not in ``taken``, the
+    input judgment's names: elimination adds no symbols, so they avoid
+    every name of the final judgment as well.
     """
     goal = j.goal
     grounding: list[tuple[Term, str]] = []
     while residuals := etau_subterms(goal):
-        name = sig.fresh("c")
+        name = fresh_numbered("c", taken)
         goal = subst_term(goal, residuals[0], App(name, ()))
         grounding.append((residuals[0], name))
     result = or_join(dedup(or_spine(goal)))
@@ -476,8 +478,7 @@ def run_elimination(
             _check_judgment(st.after, budget, f"after eliminating {to_text(st.target)}")
     if driver == "jankov":
         return EliminationTrace(tuple(steps), j.goal, ())
-    sig = Signature.collect(given.goal, *given.criticals, *given.instances)
-    trace = _finish(j, steps, sig)
+    trace = _finish(j, steps, names(given.goal, *given.criticals, *given.instances))
     if verify == "full" and (j.criticals or j.goal != trace.result):
         _check_judgment(Judgment(j.logic, (), (), trace.result), budget, "final result")
     return trace
@@ -521,13 +522,7 @@ def reconstruct_from_herbrand(
     if len(set(holes)) != n:
         raise ValueError("skeleton variables must be distinct")
     taken = set(free_vars(disjunction)) | set(free_vars(skeleton))
-    fresh_holes = []
-    for h in holes:
-        name = h
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        fresh_holes.append(name)
+    fresh_holes = [fresh(h, taken) for h in holes]
     # Rename the holes apart first so that hole names occurring free inside
     # the disjunct terms can never be captured by a later substitution.
     renamed = skeleton

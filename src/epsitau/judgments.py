@@ -88,6 +88,8 @@ def load_judgment(text: str) -> Judgment:
             raise ValueError(f"line {lineno}: expected 'key: value', got {raw!r}")
         key = key.strip().lower()
         rest = rest.strip()
+        if (key == "logic" and logic is not None) or (key == "goal" and goal is not None):
+            raise ValueError(f"line {lineno}: a second '{key}:' line")
         if key == "logic":
             logic = parse_logic(rest)
         elif key == "critical":

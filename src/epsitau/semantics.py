@@ -78,31 +78,14 @@ def prop_atoms(phi: Formula) -> list[Formula]:
     return list(dict.fromkeys(n for n in nodes if isinstance(n, Atom)))
 
 
-def _shape(phi: Formula) -> tuple:
-    """phi's connectives in prefix order, with atoms numbered by first occurrence.
+def _shape(phi: Formula) -> Formula:
+    """phi with its atoms renamed p0, p1, ... in first-occurrence order.
 
     Two formulas have the same shape iff renaming the atoms of one, alpha-class
     for alpha-class, gives the other; so they hold in the same logics.
     """
-    index: dict[Formula, int] = {}
-    out: list = []
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        match f:
-            case Atom():
-                out.append(index.setdefault(f, len(index)))
-            case Top() | Bot():
-                out.append(type(f))
-            case Not(sub):
-                out.append(Not)
-                stack.append(sub)
-            case And(a, b) | Or(a, b) | Implies(a, b):
-                out.append(type(f))
-                stack += (b, a)
-            case _:
-                raise ValueError(f"not quantifier-free: {to_text(f)}")
-    return tuple(out)
+    renamed = {a: Atom(f"p{i}", ()) for i, a in enumerate(prop_atoms(phi))}
+    return transform(phi, _prop_leaf(renamed.__getitem__, TOP, BOT))
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +543,7 @@ def verify_judgment(j: Judgment, budget: int = DEFAULT_BUDGET) -> Verdict:
     hold thousands of one or two), and then leave the query: a theorem is
     top in every Godel valuation and a cut in H and KC.
     """
-    first_of_shape: dict[tuple, Formula] = {}
+    first_of_shape: dict[Formula, Formula] = {}
     for inst in j.instances:
         first_of_shape.setdefault(_shape(inst), inst)
     for inst in first_of_shape.values():
@@ -584,16 +567,11 @@ def schema_relations_check(ms: Sequence[int] = (2, 3, 4, 5)) -> dict[str, bool]:
     for m in ms:
         if m < 2:
             raise ValueError("schema relations need m >= 2")
-        a, b = Atom("A", ()), Atom("B", ())
-        alternating = [a if i % 2 == 1 else b for i in range(1, m + 2)]
-        bm_ab = or_join(
-            [Implies(alternating[i], alternating[i + 1]) for i in range(m)]
-        )
+        bm_ab = schema("Bm", ["A" if i % 2 else "B" for i in range(1, m + 2)])
         lin = schema("Lin", ["A", "B"])
         report[f"B{m} odd/even instance entails Lin"] = decide(H, [bm_ab], lin).holds
 
-        xs: list[Formula] = [TOP] + [Atom(f"A{i}", ()) for i in range(1, m)] + [BOT]
-        bm_tb = or_join([Implies(xs[i], xs[i + 1]) for i in range(m)])
+        bm_tb = schema("Bm", [TOP, *(f"A{i}" for i in range(1, m)), BOT])
         rn = schema("Rn", n=m - 1)
         report[f"B{m} top/bottom instance entails R{m - 1}"] = decide(H, [bm_tb], rn).holds
     return report

@@ -3,7 +3,8 @@
 Bound variables are stored as position indices (a nameless representation),
 so structural equality of nodes *is* equality up to renaming of bound
 variables.  Surface names are kept as non-comparing hints and only matter
-for printing.
+for printing.  Every name the engine makes comes from fresh (x, x', ...)
+or fresh_numbered (c_1, c_2, ...), avoiding a set of names in use.
 
 Nodes are immutable by convention (a field is set once, when the node is
 built; epsilon/tau terms also keep their rank and degree once asked) and
@@ -441,13 +442,13 @@ def transform(
 # Binding
 
 
-def _lift(obj: Obj, by: int, cutoff: int = 0) -> Obj:
+def _lift(obj: Obj, by: int) -> Obj:
     """Add `by` to every bound index escaping `obj` (standard de Bruijn lift)."""
     if by == 0:
         return obj
 
     def leaf(node, depth):
-        if node._info >> 2 <= cutoff + depth:
+        if node._info >> 2 <= depth:
             return node
         if isinstance(node, Bound):
             return Bound(node.index + by)
@@ -456,17 +457,17 @@ def _lift(obj: Obj, by: int, cutoff: int = 0) -> Obj:
     return transform(obj, leaf)
 
 
-def abstract_var(obj: Obj, name: str, depth: int = 0) -> Obj:
-    """Turn free occurrences of Var(name) into a bound index at `depth`.
+def abstract_var(obj: Obj, name: str) -> Obj:
+    """Turn free occurrences of Var(name) into the index of a new binder around obj.
 
     Indices that escape obj are shifted up to skip the new binder.
     """
 
-    def leaf(node, inner):
-        if name not in node._fv and node._info >> 2 <= depth + inner:
+    def leaf(node, depth):
+        if name not in node._fv and node._info >> 2 <= depth:
             return node
         if isinstance(node, Var):
-            return Bound(depth + inner)
+            return Bound(depth)
         if isinstance(node, Bound):
             return Bound(node.index + 1)
         return None
@@ -474,8 +475,8 @@ def abstract_var(obj: Obj, name: str, depth: int = 0) -> Obj:
     return transform(obj, leaf)
 
 
-def instantiate(body: Obj, replacement: Term, depth: int = 0) -> Obj:
-    """Substitute `replacement` for the binder at `depth` being removed.
+def instantiate(body: Obj, replacement: Term) -> Obj:
+    """Substitute `replacement` for the binder around `body`, which is removed.
 
     The textbook de Bruijn substitution: the replacement is lifted past the
     binders it is inserted under, and indices that pointed above the removed
@@ -483,12 +484,11 @@ def instantiate(body: Obj, replacement: Term, depth: int = 0) -> Obj:
     bodies (the common case) both adjustments are identities.
     """
 
-    def leaf(node, inner):
-        at = depth + inner
-        if node._info >> 2 <= at:
+    def leaf(node, depth):
+        if node._info >> 2 <= depth:
             return node
         if isinstance(node, Bound):
-            return _lift(replacement, at) if node.index == at else Bound(node.index - 1)
+            return _lift(replacement, depth) if node.index == depth else Bound(node.index - 1)
         return None
 
     return transform(body, leaf)
@@ -701,13 +701,6 @@ _LEAVE = object()  # marks the end of a binder's scope on the work stack
 _SHARED = (App, Atom, Eps, Tau)
 
 
-def _pick_name(hint: str, avoid: set[str]) -> str:
-    name = hint or "x"
-    while name in avoid:
-        name += "'"
-    return name
-
-
 def _fmt(obj: Obj, canonical: bool, memo: dict[int, str]) -> str:
     """Render obj with an explicit work stack of nodes and literal pieces.
 
@@ -777,13 +770,12 @@ def _fmt(obj: Obj, canonical: bool, memo: dict[int, str]) -> str:
             for left in reversed(lefts):
                 work += (sep, (left, mine + 1))
         elif isinstance(node, _Binder):
-            name = f"?{len(env)}" if canonical else _pick_name(node.hint, avoid)
+            name = f"?{len(env)}" if canonical else fresh(node.hint, avoid)
             wrap = prec > _PREC_IMP and isinstance(node, BINDER_FORMULAS)
             out.append(f"{'(' if wrap else ''}{_KEYWORD[cls]} {name}. ")
             if wrap:
                 work.append(")")
             env.append(name)
-            avoid.add(name)
             work += (_LEAVE, (node.body, _PREC_IMP))
         else:
             raise SortError(f"not a term or formula: {node!r}")
@@ -810,39 +802,34 @@ def canonical_text(obj: Obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Signatures
+# Fresh names
 
 
-class Signature:
-    """The names in use, plus a fresh-name source that never collides with them.
-
-    Function, predicate, variable and binder names share one pool: grounding
-    and Skolemizing need only the names to avoid.
-    """
-
-    def __init__(self) -> None:
-        self._names: set[str] = set()
-
-    def fresh(self, base: str) -> str:
-        n = 1
-        while f"{base}_{n}" in self._names:
-            n += 1
-        name = f"{base}_{n}"
-        self._names.add(name)
-        return name
-
-    def extend(self, obj: Obj) -> None:
+def names(*objs: Obj) -> set[str]:
+    """Every variable, function, predicate and binder name in objs."""
+    out: set[str] = set()
+    for obj in objs:
         for node in _nodes(obj):
             match node:
-                case (
-                    Var(name) | App(name, _) | Atom(name, _)
-                    | Eps(name, _) | Tau(name, _) | Forall(name, _) | Exists(name, _)
-                ):
-                    self._names.add(name)
+                case Var(name) | App(name, _) | Atom(name, _) | _Binder(name, _):
+                    out.add(name)
+    return out
 
-    @classmethod
-    def collect(cls, *objs: Obj) -> "Signature":
-        sig = cls()
-        for o in objs:
-            sig.extend(o)
-        return sig
+
+def fresh(hint: str, taken: set[str]) -> str:
+    """The first of hint, hint', hint'', ... not in taken ("x" for no hint); taken gets it."""
+    name = hint or "x"
+    while name in taken:
+        name += "'"
+    taken.add(name)
+    return name
+
+
+def fresh_numbered(base: str, taken: set[str]) -> str:
+    """The first of base_1, base_2, ... not in taken; taken gets it."""
+    n = 1
+    while f"{base}_{n}" in taken:
+        n += 1
+    name = f"{base}_{n}"
+    taken.add(name)
+    return name

@@ -28,7 +28,6 @@ from .syntax import (
     Implies,
     Not,
     Or,
-    Signature,
     Tau,
     Term,
     Top,
@@ -37,8 +36,11 @@ from .syntax import (
     exists,
     forall,
     free_vars,
+    fresh,
+    fresh_numbered,
     instantiate,
     is_quantifier_free,
+    names,
     rebuild,
     subst_var,
     to_text,
@@ -98,27 +100,19 @@ def herbrand_form(phi: Formula) -> Formula:
     """
     if contains_etau(phi):
         raise ValueError("input must be epsilon/tau free")
-    sig = Signature.collect(phi)
-    prefix: list[tuple[str, str]] = []
     body = phi
-    taken = set(free_vars(phi))
+    taken, symbols = set(free_vars(phi)), names(phi)
+    existentials: list[str] = []
     while isinstance(body, (Forall, Exists)):
-        kind = "ex" if isinstance(body, Exists) else "all"
-        name = body.hint or "x"
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        prefix.append((kind, name))
-        body = instantiate(body.body, Var(name))
+        name = fresh(body.hint, taken)
+        if isinstance(body, Exists):
+            existentials.append(name)
+            value = Var(name)
+        else:
+            value = App(fresh_numbered(name, symbols), tuple(map(Var, existentials)))
+        body = instantiate(body.body, value)
     if not is_quantifier_free(body):
         raise ValueError(f"not prenex: {to_text(phi)}")
-    existentials: list[str] = []
-    for kind, name in prefix:
-        if kind == "ex":
-            existentials.append(name)
-        else:
-            fresh = sig.fresh(name)
-            body = subst_var(body, name, App(fresh, tuple(Var(x) for x in existentials)))
     for name in reversed(existentials):
         body = exists(name, body)
     return body

@@ -53,6 +53,14 @@ def test_translate_shadow(capsys):
     assert code == 0 and out.strip() == "P | Q"
 
 
+def test_translate_shadow_and_herbrandize_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["translate", "--shadow", "--herbrandize", "all x. P(x)"])
+    captured = capsys.readouterr()
+    assert ex.value.code == 2 and captured.out == ""
+    assert "not allowed with argument --shadow" in captured.err
+
+
 def test_parse_error_reports_position(capsys):
     code, _, err = run_cli(capsys, "translate", "P( ->")
     assert code == 2 and "position" in err
@@ -231,6 +239,55 @@ def test_reconstruct(capsys):
     )
     assert code == 0
     assert "replayed: D(a, b) | D(g(a), c)" in out
+
+
+def test_reconstruct_renames_holes_apart_from_the_free_variables(capsys):
+    # x and y are free in the disjunction, so the holes print as x' and y'
+    # (y'' where y' is already bound)
+    code, out, err = run_cli(capsys, "reconstruct", "P(x, a) | P(b, y)", "--skeleton", "P(x, y)", "--vars", "x,y")
+    assert (code, err) == (0, "")
+    ey = "eps y'. P(eps x'. P(x', eps y''. P(x', y'')), y')"
+    goal = f"P(eps x'. P(x', eps y'. P(x', y')), {ey})"
+    assert out.splitlines() == [
+        "critical: P(x, a) -> P(x, eps y'. P(x, y'))",
+        f"critical: P(x, eps y'. P(x, y')) -> {goal}",
+        "critical: P(b, y) -> P(b, eps y'. P(b, y'))",
+        f"critical: P(b, eps y'. P(b, y')) -> {goal}",
+        f"goal: {goal}",
+        "replayed: P(x, a) | P(b, y)",
+    ]
+
+
+def test_eliminate_grounding_avoids_an_input_name(tmp_path, capsys):
+    # c_1 is taken by the goal, so the residual terms become c_2 and c_3
+    path = tmp_path / "ground.judgment"
+    path.write_text(
+        "logic: classical\ncritical: A(u) -> A(eps x. A(x))\n"
+        "goal: A(u) -> A(eps x. A(x)) | B(eps y. B(y)) & A(c_1)\n"
+    )
+    code, out, err = run_cli(capsys, "eliminate", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-3:] == [
+        "ground eps x. A(x) as c_2",
+        "ground eps y. B(y) as c_3",
+        "result: (A(u) -> A(c_2) | B(c_3) & A(c_1)) | (A(u) -> A(u) | B(c_3) & A(c_1))",
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, line, key",
+    [
+        ("logic: classical\ngoal: A\ngoal: B | ~B\n", 3, "goal"),
+        ("logic: h\nlogic: classical\ngoal: B | ~B\n", 2, "logic"),
+    ],
+    ids=["goal", "logic"],
+)
+def test_verify_rejects_a_second_logic_or_goal_line(tmp_path, capsys, text, line, key):
+    path = tmp_path / "twice.judgment"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: line {line}: a second '{key}:' line\n"
 
 
 def test_unknown_logic_is_usage_error(capsys):

@@ -81,16 +81,16 @@ def test_strengthen_premise_verified():
     # ~A(s) |- A(s) -> A(e): replacing the critical premise by ~A(s)
     j = make_judgment(CLASSICAL, [pf("A(s_0) -> A(eps x. A(x))")], pf("G"))
     out = strengthen_premise(
-        j, pf("A(s_0) -> A(eps x. A(x))"), pf("~A(s_0)"), "negated witness", verify=True
+        j, pf("A(s_0) -> A(eps x. A(x))"), pf("~A(s_0)"), "negated witness"
     )
     assert out.criticals == (pf("~A(s_0)"),)
 
 
 def test_strengthen_premise_identity_and_failure():
     j = make_judgment(CLASSICAL, [pf("A")], pf("G"))
-    assert strengthen_premise(j, pf("A"), pf("A"), verify=True) == j
+    assert strengthen_premise(j, pf("A"), pf("A")) == j
     with pytest.raises(Exception):
-        strengthen_premise(j, pf("A"), pf("B"), verify=True)
+        strengthen_premise(j, pf("A"), pf("B"))
 
 
 # ---------------------------------------------------------------------------

@@ -609,3 +609,10 @@ def test_h_kc_agree_with_kripke_models_on_wide_disjunctions():
             assert decide(KC, [], phi).holds == kripke_valid(phi, "kc"), phi
             answers.add(in_h)
     assert answers == {True, False}
+
+
+def test_shape_renames_atoms_by_alpha_class_in_first_occurrence_order():
+    shape = semantics._shape
+    assert shape(pf("P(eps x. Q(x)) -> (R | ~P(eps y. Q(y)))")) == shape(pf("A -> (B | ~A)"))
+    assert shape(pf("A -> (B | ~A)")) != shape(pf("A -> (B | ~B)"))
+    assert shape(pf("top & B -> bot")) == shape(pf("top & C -> bot")) != shape(pf("bot & C -> top"))

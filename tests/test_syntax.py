@@ -19,8 +19,11 @@ from epsitau.syntax import (
     dedup,
     eps,
     free_vars,
+    fresh,
+    fresh_numbered,
     is_quantifier_free,
     match_matrix,
+    names,
     occurs,
     or_join,
     or_spine,
@@ -164,6 +167,18 @@ def test_printer_avoids_shadowed_free_names():
     e = eps("y", Atom("R", (Var("y"), App("f", (Var("y'"),)))))
     text = to_text(e)
     assert pt(text) == e
+
+
+def test_names_collects_variable_function_predicate_and_binder_names():
+    phi = pf("all u. P(x, f(u, eps y. Q(y, c))) | ex v. R")
+    assert names(phi, pt("g(z)")) == {"u", "P", "x", "f", "y", "Q", "c", "v", "R", "g", "z"}
+
+
+def test_fresh_names_prime_or_number_the_hint_and_take_it():
+    taken = {"x", "x'", "c_1"}
+    assert [fresh("x", taken), fresh("x", taken), fresh("y", taken)] == ["x''", "x" + "'" * 3, "y"]
+    assert [fresh_numbered("c", taken), fresh_numbered("c", taken)] == ["c_2", "c_3"]
+    assert taken == {"x", "x'", "x''", "x" + "'" * 3, "y", "c_1", "c_2", "c_3"}
 
 
 # ---------------------------------------------------------------------------
