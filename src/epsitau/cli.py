@@ -77,7 +77,7 @@ def _trace_lines(trace: elim.EliminationTrace) -> Iterator[str]:
         for f in st.eliminated:
             yield f"  removed: {to_text(f, memo)}"
         for inst in st.axiom_instances_used:
-            yield f"  instance: {to_text(inst.formula, memo)}"
+            yield f"  instance: {inst.text(memo)}"
         yield f"  goal: {to_text(st.after.goal, memo)}"
     for t, name in trace.grounding:
         yield f"ground {to_text(t, memo)} as {name}"

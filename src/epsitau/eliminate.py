@@ -305,20 +305,21 @@ def eliminate_predicative_lin(j: Judgment, e: Term) -> EliminationStep:
     return _step(j, e, "bigdisj", refusal, lambda ws, pos: (ws, [pos]))
 
 
-def _words(e: Term, contexts: Sequence[Term], n: int) -> dict[tuple[Term, ...], Term]:
+def _words(e: Term, contexts: Sequence[Term], n: int) -> dict[tuple[int, ...], Term]:
     """Every word of length <= n over the contexts, applied to e.
 
-    A word's term is its first context applied to its suffix's term, so each
-    is built once.  The words come in order of length, then lexicographically.
+    A word is a tuple of indices into contexts.  Its term is its first
+    context applied to its suffix's term, so each is built once.  The words
+    come in order of length, then lexicographically.
     """
-    terms: dict[tuple[Term, ...], Term] = {(): e}
+    terms: dict[tuple[int, ...], Term] = {(): e}
     for length in range(1, n + 1):
-        for word in itertools.product(contexts, repeat=length):
-            terms[word] = subst_term(word[0], e, terms[word[1:]])
+        for word in itertools.product(range(len(contexts)), repeat=length):
+            terms[word] = subst_term(contexts[word[0]], e, terms[word[1:]])
     return terms
 
 
-def _word_paths(words: dict[tuple[Term, ...], Formula], length: int) -> list[list[Formula]]:
+def _word_paths(words: dict[tuple[int, ...], Formula], length: int) -> list[list[Formula]]:
     """For each word w of the given length, the values at w, w[1:], ..., ()."""
     return [
         [words[w[i:]] for i in range(length + 1)] for w in words if len(w) == length
@@ -657,7 +658,7 @@ def trace_to_json(trace: EliminationTrace, logic: Logic) -> str:
                 "target": to_text(st.target, memo),
                 "eliminated": [to_text(f, memo) for f in st.eliminated],
                 "elimination_set": [to_text(t, memo) for t in st.elimination_set],
-                "axiom_instances": [to_text(i.formula, memo) for i in st.axiom_instances_used],
+                "axiom_instances": [i.text(memo) for i in st.axiom_instances_used],
                 "goal_after": to_text(st.after.goal, memo),
             }
             for st in trace.steps

@@ -13,8 +13,9 @@ Verdict, and Verdict.describe turns every failure into text.  schema builds
 every schema instance, and proves is the one table of which logic proves
 which schema (the lemmas of Baaz & Zach, arXiv 1907.04477).  An elimination
 step records each instance as an Instance (kind, polarity, atoms) and
-certifies it by its row; its formula is built only to be printed.  So only
-instances from outside a run are decided, by verify_judgment.
+certifies it by its row; it prints through a template of its shape, without
+its formula.  So only instances from outside a run are decided, by
+verify_judgment.
 """
 
 from __future__ import annotations
@@ -37,10 +38,12 @@ from .syntax import (
     Top,
     _nodes,
     and_join,
+    fill,
     is_quantifier_free,
     or_join,
     or_spine,
     sharing,
+    template,
     to_text,
     transform,
 )
@@ -337,6 +340,16 @@ class Instance:
     def formula(self) -> Formula:
         return schema(self.kind, self.atoms, polarity=self.polarity)
 
+    def text(self, memo: dict) -> str:
+        """to_text(self.formula, memo), filled into the memo's template of the
+        record's kind, polarity and atom count (see syntax.fill)."""
+        key = (self.kind, self.polarity, len(self.atoms))
+        shape = memo.get(key)
+        if shape is None:
+            holes = [Atom(f"?{i}") for i in range(len(self.atoms))]
+            shape = memo[key] = template(schema(self.kind, holes, polarity=self.polarity), holes)
+        return fill(shape, self.atoms, memo)
+
 
 def proves(logic: Logic, kind: str, arity: int) -> bool:
     """Does the logic prove every instance of the schema kind at this arity?
@@ -496,8 +509,9 @@ def decide(
     which answers without a countermodel.  KC is H plus weak excluded middle
     ~a | ~~a for each atom a of the query: H derives ~psi | ~~psi for
     compound psi from the instances for its atoms, and an instance over a
-    foreign atom turns into one over top.  A query that holds by the identity
-    axiom is answered before any of this.
+    foreign atom turns into one over top.  A classically valid query whose
+    goal is negative (see _negative) holds in H and KC without the prover.
+    A query that holds by the identity axiom is answered before any of this.
     """
     for f in (*premises, goal):
         if not is_quantifier_free(f):
@@ -511,6 +525,9 @@ def decide(
                 ok, counter = valid_in_LCm(query, 2, budget)
             except BudgetExceededError:
                 ok = True  # the prover answers, so the answer never depends on the budget
+            else:
+                if ok and _negative(goal, logic.kind == "kc"):
+                    return Verdict(True)
             if not ok:
                 return Verdict(False, 2, counter)
             wem = [Or(Not(a), Not(Not(a))) for a in prop_atoms(query)] if logic.kind == "kc" else []
@@ -520,6 +537,28 @@ def decide(
             ok, counter = valid_in_LCm(query, size, budget)
             return Verdict(True) if ok else Verdict(False, size, counter)
     raise ValueError(f"unknown logic {logic}")
+
+
+def _negative(goal: Formula, kc: bool) -> bool:
+    """Is goal built from ~a, a -> bot, top and bot by &, and by | on kc?
+
+    Then premises |- goal holds in H (or KC) iff it holds classically.  H:
+    by Glivenko (1929), premises |- ~~goal in H, and ~~goal -> goal.  KC: a
+    finite rooted KC frame has a top world t; a negative goal is forced at
+    a world iff it is true at t, where the premises forced there are true.
+    """
+    stack = [goal]
+    while stack:
+        match stack.pop():
+            case Not() | Implies(_, Bot()) | Top() | Bot():
+                pass
+            case And(a, b):
+                stack += (a, b)
+            case Or(a, b) if kc:
+                stack += (a, b)
+            case _:
+                return False
+    return True
 
 
 def _by_identity(premises: Sequence[Formula], goal: Formula) -> bool:

@@ -24,14 +24,16 @@ folds it into a value from its children's, and _nodes visits in pre-order.
 The printer, too, renders each shared term and atom once: within one
 ``to_text`` call, or within one output whose caller passes the same text
 memo to every call.  That memo is keyed by the printed formula's free
-variables, then by node id, and lives for that output only.
+variables, then by node id, and lives for that output only.  Formulas of
+one shape print by filling its template (template, fill) with their parts.
 """
 
 from __future__ import annotations
 
 import operator
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Union
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 
 class SortError(TypeError):
@@ -694,26 +696,33 @@ def dedup(objs: Iterable[Obj]) -> tuple[Obj, ...]:
 # ---------------------------------------------------------------------------
 # Printing
 
-_PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3, 4
-_INFIX = {Implies: (" -> ", _PREC_IMP), Or: (" | ", _PREC_OR), And: (" & ", _PREC_AND)}
+_PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4, 5
+_INFIX = {Implies: " -> ", Or: " | ", And: " & "}
+# The one parenthesis rule: a node is wrapped where its context binds
+# tighter than it does; a class missing here is never wrapped.
+_PREC = {Implies: _PREC_IMP, Or: _PREC_OR, And: _PREC_AND, Not: _PREC_NOT,
+         Forall: _PREC_IMP, Exists: _PREC_IMP}
 _KEYWORD = {Eps: "eps", Tau: "tau", Forall: "all", Exists: "ex"}
 _LEAVE = object()  # marks the end of a binder's scope on the work stack
 _SHARED = (App, Atom, Eps, Tau)
 
 
-def _fmt(obj: Obj, canonical: bool, memo: dict[int, str]) -> str:
+def _fmt(obj: Obj, canonical: bool, memo: dict, avoid: Iterable[str] = (), holes: dict | None = None):
     """Render obj with an explicit work stack of nodes and literal pieces.
 
     A chain of one infix connective nested to the right is printed in one
     pass, its operands joined by the connective, so neither the stack nor
     the string work grows with re-printing the spine.  A term or atom
     outside every binder prints the same wherever it occurs in obj: its
-    binder names avoid only obj's free variables.  So its text is kept in
-    ``memo`` by node id, and a shared one is rendered once.
+    binder names avoid only obj's free variables and ``avoid``.  So its
+    text is kept in ``memo`` by node id, and a shared one is rendered once.
+    With ``holes``, a map from id(atom) to i, each of those atoms outside
+    every binder becomes a hole (i, precedence of its context), and the
+    result is a template: a tuple of literal pieces and holes, for fill.
     """
-    out: list[str] = []
+    out: list = []
     env: list[str] = []  # binder names, innermost last
-    avoid = set(obj._fv)
+    avoid = {*obj._fv, *avoid}
     work: list = [(obj, 0)]
     while work:
         item = work.pop()
@@ -730,11 +739,17 @@ def _fmt(obj: Obj, canonical: bool, memo: dict[int, str]) -> str:
         node, prec = item
         cls = type(node)
         if not env and cls in _SHARED:
+            if holes and id(node) in holes:
+                out.append((holes[id(node)], prec))
+                continue
             text = memo.get(id(node))
             if text is not None:
                 out.append(text)
                 continue
             work.append([node, len(out)])
+        if prec > _PREC.get(cls, _PREC_ATOM):
+            out.append("(")
+            work.append(")")
         if cls is Var:
             out.append(node.name)
         elif cls is Bound:
@@ -752,34 +767,27 @@ def _fmt(obj: Obj, canonical: bool, memo: dict[int, str]) -> str:
         elif cls is Top or cls is Bot:
             out.append("top" if cls is Top else "bot")
         elif cls is Not:
-            wrap = prec > _PREC_NOT
-            out.append("(~" if wrap else "~")
-            if wrap:
-                work.append(")")
+            out.append("~")
             work.append((node.sub, _PREC_NOT))
         elif cls in _INFIX:
-            sep, mine = _INFIX[cls]
+            sep, mine = _INFIX[cls], _PREC[cls]
             lefts = []
             while type(node) is cls:
                 lefts.append(node.left)
                 node = node.right
-            if prec > mine:
-                out.append("(")
-                work.append(")")
             work.append((node, mine))
             for left in reversed(lefts):
                 work += (sep, (left, mine + 1))
         elif isinstance(node, _Binder):
             name = f"?{len(env)}" if canonical else fresh(node.hint, avoid)
-            wrap = prec > _PREC_IMP and isinstance(node, BINDER_FORMULAS)
-            out.append(f"{'(' if wrap else ''}{_KEYWORD[cls]} {name}. ")
-            if wrap:
-                work.append(")")
+            out.append(f"{_KEYWORD[cls]} {name}. ")
             env.append(name)
             work += (_LEAVE, (node.body, _PREC_IMP))
         else:
             raise SortError(f"not a term or formula: {node!r}")
-    return "".join(out)
+    if holes is None:
+        return "".join(out)
+    return tuple(p for cls, run in groupby(out, type) for p in (["".join(run)] if cls is str else run))
 
 
 def to_text(obj: Obj, memo: dict | None = None) -> str:
@@ -794,6 +802,27 @@ def to_text(obj: Obj, memo: dict | None = None) -> str:
     printed node is alive.  Without a memo the text is kept for one call.
     """
     return _fmt(obj, False, {} if memo is None else memo.setdefault(obj._fv, {}))
+
+
+def template(obj: Formula, holes: Sequence[Formula]) -> tuple:
+    """obj's text as literal pieces and a hole for each occurrence of holes[i]; see fill."""
+    return _fmt(obj, False, {}, holes={id(h): i for i, h in enumerate(holes)})
+
+
+def fill(shape: tuple, parts: Sequence[Obj], memo: dict) -> str:
+    """to_text(obj, memo), where obj is the template's formula with parts[i] for holes[i].
+
+    The holes stand outside every binder and each part fills one at least,
+    so obj's free variables are the parts'.  Each part prints as within obj:
+    its binder names avoid them, its text is kept in the memo under them by
+    node id, and it is wrapped where its hole's context binds tighter.
+    """
+    fv = frozenset().union(*[p._fv for p in parts])
+    sub = memo.setdefault(fv, {})
+    texts = [sub.get(id(p)) or sub.setdefault(id(p), _fmt(p, False, sub, fv)) for p in parts]
+    binds = [_PREC.get(type(p), _PREC_ATOM) for p in parts]
+    return "".join([s if type(s) is str else texts[s[0]] if s[1] <= binds[s[0]] else f"({texts[s[0]]})"
+                    for s in shape])
 
 
 def canonical_text(obj: Obj) -> str:

@@ -12,6 +12,7 @@ from epsitau.cli import main
 from helpers import grid_judgment, lc3_worked_judgment, refutes, weak_lin_negative_judgment
 from epsitau.judgments import H, KC, dump_judgment, lcm, load_judgment, make_judgment
 from epsitau.parser import parse_formula
+from epsitau.syntax import to_text
 
 
 def run_cli(capsys, *argv):
@@ -500,10 +501,18 @@ def test_check_reads_and_proves_a_thousand_nested_negations(capsys, logic):
     assert (code, out, err) == (0, f"valid in {logic}\n", "")
 
 
-def test_prover_recursion_limit_is_not_an_invalid_answer():
-    # ~^900 A | ~^901 A is ~~A | ~A, valid in KC; the prover may run out of
-    # stack on it, which must end as an error, never as exit 1 ("invalid")
+def test_check_kc_decides_a_negative_tower_classically(capsys):
+    # ~^900 A | ~^901 A is ~~A | ~A: a classically valid disjunction of
+    # negations holds in KC, so the prover is not asked
     formula = "~" * 900 + "A | " + "~" * 901 + "A"
+    assert run_cli(capsys, "check", "--logic", "kc", formula) == (0, "valid in kc\n", "")
+
+
+def test_prover_recursion_limit_is_not_an_invalid_answer():
+    # the conjunction of ~^900 A | ~^901 A with B -> B is valid in KC and no
+    # negative goal, so the prover decides it and may run out of stack,
+    # which must end as an error, never as exit 1 ("invalid")
+    formula = "(" + "~" * 900 + "A | " + "~" * 901 + "A) & (B -> B)"
     src = str(Path(semantics.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
@@ -530,3 +539,32 @@ def test_eliminate_text_trace_matches_golden(capsys, tmp_path, golden, judgment,
     code, out, err = run_cli(capsys, "eliminate", str(path), "--verify", verify)
     expected = (Path(__file__).parent / "golden" / golden).read_bytes()
     assert (code, out.encode(), err) == (0, expected, "")
+
+
+def _compound_matrix_judgment():
+    """The lc3 grid cell with k = 2 for e = eps x. (A(x) & B(x)): its atoms are conjunctions."""
+    e = "eps x. (A(x) & B(x))"
+    m = lambda t: f"A({t}) & B({t})"
+    lines = ["logic: lc3", *(f"critical: {m(w)} -> {m(e)}" for w in (f"s1({e})", f"s2({e})", "u1", "u2"))]
+    return load_judgment("\n".join([*lines, f"goal: {m('u1')} -> {m(e)}"]) + "\n")
+
+
+@pytest.mark.parametrize("judgment", [lambda: grid_judgment("lc4", 3), _compound_matrix_judgment],
+                         ids=["grid-lc4-k3", "compound-matrix"])
+def test_instance_lines_print_as_their_formulas(capsys, tmp_path, monkeypatch, judgment):
+    # both traces print each instance from its shape's template; printing
+    # the built formula instead, through the same memo, gives the same bytes
+    path = tmp_path / "judgment.txt"
+    path.write_text(dump_judgment(judgment()))
+    outputs = []
+    for through_formula in (False, True):
+        if through_formula:
+            monkeypatch.setattr(semantics.Instance, "text", lambda self, memo: to_text(self.formula, memo))
+        argv = ["eliminate", str(path), "--verify", "none"]
+        outputs.append([run_cli(capsys, *fmt, *argv) for fmt in ([], ["--format", "json"])])
+    assert outputs[0] == outputs[1]
+    (code, text, err), (_, doc, _) = outputs[0]
+    assert (code, err) == (0, "")
+    instances = [line[12:] for line in text.splitlines() if line.startswith("  instance: ")]
+    assert len(instances) >= 17
+    assert instances == [i for st in json.loads(doc)["steps"] for i in st["axiom_instances"]]

@@ -401,11 +401,14 @@ def test_schema_polarity_and_arity():
 
 
 def test_instance_record_prints_as_its_schema_formula():
-    # a record's formula is built anew for each print, through one trace
-    # memo; B(eps x. A(x)) sits next to the free x of A(x) in some records,
-    # where its binder is renamed apart, and alone in others
+    # a record prints by filling its shape's template through one trace memo;
+    # B(eps x. A(x)) sits next to the free x of A(x) in some records, where
+    # its binder is renamed apart, and alone in others; the compound atoms
+    # are parenthesised wherever their context binds tighter
+    texts = ("B(eps x. A(x))", "A(x)", "C(f(eps x. A(x)))", "~D(y)", "A(eps y. B(y))",
+             "P -> Q", "P | Q", "P & Q", "all z. R(z, x)", "top")
     with sharing():
-        pool = [pf(t) for t in ("B(eps x. A(x))", "A(x)", "C(f(eps x. A(x)))", "~D(y)", "A(eps y. B(y))")]
+        pool = [pf(t) for t in texts]
     memo: dict = {}
     for kind in ("EM", "J", "bigdisj", "Bm"):
         for polarity in ("eps", "tau"):
@@ -416,8 +419,10 @@ def test_instance_record_prints_as_its_schema_formula():
                     assert inst.arity == arity
                     assert to_text(atoms[0], memo) == to_text(atoms[0])
                     expected = to_text(schema(kind, atoms, polarity=polarity))
-                    assert to_text(inst.formula, memo) == expected, (kind, polarity, arity, start)
-    assert "eps x'. A(x')" in to_text(Instance("EM", "eps", tuple(pool[:2])).formula, memo)
+                    assert inst.text(memo) == expected, (kind, polarity, arity, start)
+    assert "eps x'. A(x')" in Instance("EM", "eps", tuple(pool[:2])).text(memo)
+    expected = "(P -> Q) & (P | Q) & P & Q | ~(P -> Q) | ~(P | Q) | ~(P & Q)"
+    assert Instance("EM", "tau", tuple(pool[5:8])).text(memo) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +523,54 @@ def test_h_kc_agree_with_kripke_models():
         assert in_kc == kripke_valid(phi, "kc"), phi
         splits += in_h != in_kc
     assert splits >= 20
+
+
+def _random_negative(rng, depth, atoms):
+    """A goal built from ~g, g -> bot, top and bot by & and |."""
+    if depth == 0 or rng.random() < 0.4:
+        g = random_prop_formula(rng, 2, atoms)
+        return rng.choice([Not(g), Implies(g, Bot()), Top(), Bot()])
+    op = rng.choice([And, Or])
+    return op(_random_negative(rng, depth - 1, atoms), _random_negative(rng, depth - 1, atoms))
+
+
+@pytest.mark.parametrize("logic", [H, KC], ids=["h", "kc"])
+def test_negative_goals_agree_with_kripke_models(logic):
+    # a classically valid query with a negative goal is answered without the
+    # prover (with | only on kc); the answers still agree with the Kripke
+    # oracle, on goals with | in H too, which the prover decides
+    rng = random.Random(26)
+    atoms = ["A", "B"]
+    valid = 0
+    for _ in range(300):
+        premises = [random_prop_formula(rng, 2, atoms) for _ in range(rng.randrange(3))]
+        goal = _random_negative(rng, 2, atoms)
+        query = Implies(and_join(premises), goal) if premises else goal
+        holds = decide(logic, premises, goal).holds
+        assert holds == kripke_valid(query, logic.kind), (premises, goal)
+        valid += holds
+    assert 30 <= valid <= 270
+
+
+def test_negative_goals_skip_the_prover(monkeypatch):
+    # the prover answers only goals outside the negative fragment
+    calls = []
+
+    def prover(premises, goal):
+        calls.append(goal)
+        return prove_H(premises, goal)
+
+    monkeypatch.setattr(semantics, "prove_H", prover)
+    inside = [(H, [pf("A -> B")], pf("~(A & ~B) & (A & ~A -> bot) & top")),
+              (KC, [], pf("~A | ~~A")), (KC, [pf("~B")], pf("~(A & B) | bot"))]
+    for logic, premises, goal in inside:
+        assert decide(logic, premises, goal) == Verdict(True)
+    assert calls == []
+    outside = [(H, [], pf("~A | ~~A")), (H, [], pf("~~A -> A")), (KC, [], pf("~A | ~~A | B"))]
+    for logic, premises, goal in outside:
+        decide(logic, premises, goal)
+    assert len(calls) == len(outside)
+    assert decide(H, [], pf("~A | ~~A")) == Verdict(False)
 
 
 def test_identity_axiom_needs_no_backend():
