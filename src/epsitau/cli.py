@@ -106,17 +106,10 @@ def cmd_eliminate(args) -> int:
     return EXIT_OK
 
 
-def cmd_rank(args) -> int:
-    t = parse_term(args.term)
-    value = rank(t)
-    _emit(args, {"rank": value}, [str(value)])
-    return EXIT_OK
-
-
-def cmd_degree(args) -> int:
-    t = parse_term(args.term)
-    value = degree(t)
-    _emit(args, {"degree": value}, [str(value)])
+def cmd_measure(args) -> int:
+    # rank or degree is looked up per call, so a wrapper set on this module is called
+    value = {"rank": rank, "degree": degree}[args.command](parse_term(args.term))
+    _emit(args, {args.command: value}, [str(value)])
     return EXIT_OK
 
 
@@ -125,7 +118,7 @@ def cmd_classify(args) -> int:
     ambient: list = []
     if args.proof:
         j = load_judgment(Path(args.proof).read_text())
-        ambient = elim.judgment_critical_terms(j)
+        ambient = list(elim.judgment_readings(j))
     readings = recognize_critical(phi)
     payload = []
     lines = []
@@ -217,11 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank of an epsilon/tau term")
     p.add_argument("term")
-    p.set_defaults(fn=cmd_rank)
+    p.set_defaults(fn=cmd_measure)
 
     p = sub.add_parser("degree", help="degree of an epsilon/tau term")
     p.add_argument("term")
-    p.set_defaults(fn=cmd_degree)
+    p.set_defaults(fn=cmd_measure)
 
     p = sub.add_parser("classify", help="critical readings of a formula")
     p.add_argument("formula")

@@ -32,7 +32,7 @@ from .syntax import (
     instantiate,
     is_quantifier_free,
     locally_closed,
-    match_matrix,
+    match_holes,
     occurs,
     to_text,
 )
@@ -58,9 +58,6 @@ class CriticalFormula:
         """The matrix A(hole) and the hole name actually used."""
         hole = fresh(hole, set(free_vars(self.critical_term.body)))
         return hole, instantiate(self.critical_term.body, Var(hole))
-
-    def matrix(self, hole: str = "x") -> Formula:
-        return self.matrix_pair(hole)[1]
 
     @property
     def at_witness(self) -> Formula:
@@ -124,12 +121,12 @@ def recognize_critical(phi: Formula) -> list[CriticalFormula]:
 def _solve_body(body: Formula, target: Formula) -> list[Term]:
     """Terms t with instantiate(body, t) == target.
 
-    Bodies that ignore their variable admit no occurring reading, so the
-    identity witness the matcher reports for them is discarded.
+    A body that ignores its variable matches with no binding for the hole,
+    so it admits no reading.
     """
     hole = "?hole"
-    opened = instantiate(body, Var(hole))
-    return [t for t in match_matrix(opened, hole, target) if t != Var(hole)]
+    m = match_holes(instantiate(body, Var(hole)), target, {hole})
+    return [m[hole]] if m else []
 
 
 def is_predicative(c: CriticalFormula) -> bool:
@@ -203,21 +200,19 @@ def degree(e: Term) -> int:
 
 
 def rank(e: Term) -> int:
-    """1 plus the maximal rank of the subordinate epsilon/tau terms."""
+    """1 plus the maximal rank of the subordinate epsilon/tau terms.
+
+    e may be an occurrence inside another term that mentions that term's
+    variable through an escaping index; the recursion only inspects internal
+    ones.  The value is kept on the term, like the degree.
+    """
     if not isinstance(e, BINDER_TERMS):
         raise ValueError(f"rank is defined for epsilon/tau terms only: {to_text(e)}")
-    return _rank_occurrence(e)
-
-
-def _rank_occurrence(u: Term) -> int:
-    # An occurrence inside another term may mention that term's variable
-    # through an escaping index; the recursion only inspects internal ones.
-    # The value is kept on the term, like the degree.
     try:
-        return u._rank
+        return e._rank
     except AttributeError:
-        u._rank = 1 + max((_rank_occurrence(v) for v in subordinate_subterms(u)), default=0)
-        return u._rank
+        e._rank = 1 + max((rank(u) for u in subordinate_subterms(e)), default=0)
+        return e._rank
 
 
 def select_max(critical_terms: Iterable[Term]) -> Term:

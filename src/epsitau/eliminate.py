@@ -70,7 +70,6 @@ __all__ = [
     "eliminate_negated_jankov",
     "eliminate_predicative_lin",
     "eliminate_single_classical",
-    "judgment_critical_terms",
     "judgment_measure",
     "reconstruct_from_herbrand",
     "run_elimination",
@@ -136,10 +135,6 @@ def judgment_readings(j: Judgment) -> dict[Term, list[tuple[Formula, CriticalFor
                 out.setdefault(r.critical_term, []).append((f, r))
         object.__setattr__(j, "reading_index", out)
     return j.reading_index
-
-
-def judgment_critical_terms(j: Judgment) -> list[Term]:
-    return list(judgment_readings(j))
 
 
 def judgment_measure(terms: Sequence[Term]) -> tuple[int, int, int]:
@@ -509,6 +504,10 @@ def reconstruct_from_herbrand(
     n = len(holes)
     if n == 0:
         raise ValueError("the skeleton needs at least one variable")
+    if not all(holes):
+        raise ValueError("skeleton variable names must not be empty")
+    if len(set(holes)) != n:
+        raise ValueError("skeleton variables must be distinct")
     disjuncts = or_spine(disjunction)
     tuples: list[tuple[Term, ...]] = []
     for d in disjuncts:
@@ -520,8 +519,6 @@ def reconstruct_from_herbrand(
             raise ValueError(f"disjunct terms must be epsilon/tau free: {to_text(d)}")
         tuples.append(terms)
 
-    if len(set(holes)) != n:
-        raise ValueError("skeleton variables must be distinct")
     taken = set(free_vars(disjunction)) | set(free_vars(skeleton))
     fresh_holes = [fresh(h, taken) for h in holes]
     # Rename the holes apart first so that hole names occurring free inside

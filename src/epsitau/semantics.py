@@ -81,16 +81,6 @@ def prop_atoms(phi: Formula) -> list[Formula]:
     return list(dict.fromkeys(n for n in nodes if isinstance(n, Atom)))
 
 
-def _shape(phi: Formula) -> Formula:
-    """phi with its atoms renamed p0, p1, ... in first-occurrence order.
-
-    Two formulas have the same shape iff renaming the atoms of one, alpha-class
-    for alpha-class, gives the other; so they hold in the same logics.
-    """
-    renamed = {a: Atom(f"p{i}", ()) for i, a in enumerate(prop_atoms(phi))}
-    return transform(phi, _prop_leaf(renamed.__getitem__, TOP, BOT))
-
-
 # ---------------------------------------------------------------------------
 # Godel evaluation
 
@@ -228,14 +218,6 @@ def valid_in_LCm(
 def lc_chain_size(phi: Formula) -> int:
     """n atoms realize at most n+2 order positions against bottom and top."""
     return len(prop_atoms(phi)) + 2
-
-
-def valid_in_LC(phi: Formula, budget: int = DEFAULT_BUDGET) -> tuple[bool, Valuation | None]:
-    return valid_in_LCm(phi, lc_chain_size(phi), budget)
-
-
-def valid_classical(phi: Formula, budget: int = DEFAULT_BUDGET) -> tuple[bool, Valuation | None]:
-    return valid_in_LCm(phi, 2, budget)
 
 
 def counterexample_Bm(m: int) -> Valuation:
@@ -383,10 +365,11 @@ def proves(logic: Logic, kind: str, arity: int) -> bool:
 
 
 def _norm(phi: Formula) -> Formula:
-    """Rewrite ~A to A -> bot, the prover's one negation form.
+    """Rewrite ~A to A -> bot, the prover's one negation form, and ~~~A to ~A.
 
-    Every node is built again, so in the prover's sharing scope equal
-    formulas become one node.
+    ~~~A <-> ~A is a theorem of H, so a tower of negations becomes at most
+    two and the search stays shallow.  Every node is built again, so in the
+    prover's sharing scope equal formulas become one node.
     """
     return transform(phi, _norm_leaf, _norm_build)
 
@@ -398,7 +381,12 @@ def _norm_leaf(f: Formula, depth: int) -> Formula | None:
 
 
 def _norm_build(f: Formula, kids: tuple[Formula, ...]) -> Formula:
-    return Implies(kids[0], BOT) if isinstance(f, Not) else f._with(kids)
+    if not isinstance(f, Not):
+        return f._with(kids)
+    match kids[0]:
+        case Implies(Implies(_, Bot()) as neg, Bot()):
+            return neg
+    return Implies(kids[0], BOT)
 
 
 # Memo of one top-level query; prove_H empties it when the query returns.
@@ -578,14 +566,10 @@ def verify_judgment(j: Judgment, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     A failure names the first refuted instance, with its countermodel, or
     else has the countermodel of criticals -> goal.  The instances, which no
-    table row vouches for, are decided once per shape (a dumped judgment can
-    hold thousands of one or two), and then leave the query: a theorem is
-    top in every Godel valuation and a cut in H and KC.
+    table row vouches for, are decided one by one, and then leave the query:
+    a theorem is top in every Godel valuation and a cut in H and KC.
     """
-    first_of_shape: dict[Formula, Formula] = {}
     for inst in j.instances:
-        first_of_shape.setdefault(_shape(inst), inst)
-    for inst in first_of_shape.values():
         verdict = decide(j.logic, [], inst, budget)
         if not verdict:
             return replace(verdict, instance=inst)
@@ -596,16 +580,15 @@ def verify_judgment(j: Judgment, budget: int = DEFAULT_BUDGET) -> Verdict:
 # Cross-schema relations report
 
 
-def schema_relations_check(ms: Sequence[int] = (2, 3, 4, 5)) -> dict[str, bool]:
+def schema_relations_check() -> dict[str, bool]:
     """Entailments between the chain schema, linearity, and Hosoi's axiom.
 
-    For each m: the alternating A/B instance of the m-link chain schema
-    entails Lin over H, and the top/bottom instance entails R(m-1) over H.
+    For each m from 2 to 5: the alternating A/B instance of the m-link chain
+    schema entails Lin over H, and the top/bottom instance entails R(m-1)
+    over H.
     """
     report: dict[str, bool] = {}
-    for m in ms:
-        if m < 2:
-            raise ValueError("schema relations need m >= 2")
+    for m in (2, 3, 4, 5):
         bm_ab = schema("Bm", ["A" if i % 2 else "B" for i in range(1, m + 2)])
         lin = schema("Lin", ["A", "B"])
         report[f"B{m} odd/even instance entails Lin"] = decide(H, [bm_ab], lin).holds

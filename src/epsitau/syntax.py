@@ -640,18 +640,6 @@ def match_holes(pattern: Obj, target: Obj, holes: frozenset[str] | set[str]) -> 
     return binding
 
 
-def match_matrix(pattern: Formula, hole: str, target: Formula) -> list[Term]:
-    """All terms t with subst_var(pattern, hole, t) equal to target up to alpha.
-
-    When the hole does not occur in the pattern any term is a witness; the
-    identity witness Var(hole) is returned in that degenerate case.
-    """
-    if hole not in free_vars(pattern):
-        return [Var(hole)] if pattern == target else []
-    m = match_holes(pattern, target, {hole})
-    return [m[hole]] if m is not None else []
-
-
 # ---------------------------------------------------------------------------
 # Formula utilities
 

@@ -42,7 +42,6 @@ from .syntax import (
     is_quantifier_free,
     names,
     rebuild,
-    subst_var,
     to_text,
     transform,
 )
@@ -294,11 +293,3 @@ def _differing_pair(left: Formula, right: Formula) -> tuple[Formula, Formula]:
     if isinstance(left, Implies) and i == 0:
         return right.left, left.left
     return left._kids()[i], right._kids()[i]
-
-
-def standard_quantifier_axioms(matrix: Formula, hole: str, witness: Term) -> list[Formula]:
-    """all x A(x) -> A(t) and A(t) -> ex x A(x), for shadow checks."""
-    return [
-        Implies(forall(hole, matrix), subst_var(matrix, hole, witness)),
-        Implies(subst_var(matrix, hole, witness), exists(hole, matrix)),
-    ]

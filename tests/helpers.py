@@ -5,7 +5,9 @@ truth-table checker works on Python bools, the Godel evaluator is a direct
 dict-based recursion, the two-element model checker interprets first-order
 formulas by brute force, the Kripke checker forces formulas in every
 small rooted model, the schema matchers compare shapes structurally, and
-the atom renaming tells alpha-classes apart by their printed form.
+the atom renaming tells alpha-classes apart by their printed form.  The
+Godel and Kripke validity checks take every valuation at once on bit sets;
+the per-valuation evaluators are their reference in the tests.
 """
 
 from __future__ import annotations
@@ -34,9 +36,13 @@ from epsitau.syntax import (
     Top,
     Var,
     abstract_var,
+    and_join,
     canonical_text,
+    exists,
+    forall,
     instantiate,
     or_spine,
+    subst_var,
     subterms,
     to_text,
 )
@@ -131,14 +137,53 @@ def godel_value(f: Formula, env: dict, top: int) -> int:
 
 
 def godel_oracle(phi: Formula, size: int) -> bool:
-    """Validity on the chain 0..size-1, independent of the semantics module."""
+    """Validity on the chain 0..size-1, independent of the semantics module.
+
+    All size**n valuations of phi's n atoms are evaluated at once: bit i of
+    a mask stands for the valuation that gives atom j the j-th base-size
+    digit of i, and a formula is worth, for k = 1..size-1, the mask of the
+    valuations where its value is at least k.  On each valuation this agrees
+    with godel_value, which the tests check.
+    """
     atoms: list = []
     _collect_atoms(phi, atoms)
-    top = size - 1
-    for vals in itertools.product(range(size), repeat=len(atoms)):
-        if godel_value(phi, dict(zip(atoms, vals)), top) != top:
-            return False
-    return True
+    n = len(atoms)
+    env = {a: [_digit_mask(j, size, n, range(k, size)) for k in range(1, size)] for j, a in enumerate(atoms)}
+    full = (1 << size**n) - 1
+    return _godel_masks(phi, env, size - 1, full)[-1] == full
+
+
+def _digit_mask(j: int, base: int, n: int, digits) -> int:
+    """Bit i, for i < base**n, is set iff the j-th base-`base` digit of i is in digits."""
+    block, total = base**j, base**n
+    mask, width = sum(((1 << block) - 1) << d * block for d in digits), base * block
+    while width < total:  # the pattern repeats with period width
+        mask |= mask << width
+        width *= 2
+    return mask & ((1 << total) - 1)
+
+
+def _godel_masks(f: Formula, env: dict, top: int, full: int) -> list[int]:
+    match f:
+        case Atom():
+            return env[f]
+        case Top():
+            return [full] * top
+        case Bot():
+            return [0] * top
+        case Not(sub):
+            return [full & ~_godel_masks(sub, env, top, full)[0]] * top
+        case And(a, b):
+            return [x & y for x, y in zip(_godel_masks(a, env, top, full), _godel_masks(b, env, top, full))]
+        case Or(a, b):
+            return [x | y for x, y in zip(_godel_masks(a, env, top, full), _godel_masks(b, env, top, full))]
+        case Implies(a, b):
+            ma, mb = _godel_masks(a, env, top, full), _godel_masks(b, env, top, full)
+            le = full  # the valuations where v(a) <= v(b)
+            for x, y in zip(ma, mb):
+                le &= ~x | y
+            return [y | le for y in mb]
+    raise ValueError(f)
 
 
 def refutes(phi: Formula, counter: dict[str, int], size: int) -> bool:
@@ -318,23 +363,64 @@ def _forced(phi: Formula, up: tuple[int, ...], val: dict) -> int:
     raise ValueError(phi)
 
 
+def _upsets(up: tuple[int, ...]) -> list[int]:
+    full = (1 << len(up)) - 1
+    return [s for s in range(full + 1) if all(up[w] & ~s == 0 for w in range(len(up)) if s >> w & 1)]
+
+
 def kripke_valid(phi: Formula, logic: str) -> bool:
     """Validity in every rooted Kripke model of at most 4 worlds ("h"), or of
-    those whose frame has a top world ("kc").  Valuations are up-sets."""
+    those whose frame has a top world ("kc").  Valuations are up-sets.
+
+    On a frame whose worlds have u up-sets, all u**n valuations of phi's n
+    atoms are evaluated at once, as godel_oracle does: a formula is worth,
+    for each world, the mask of the valuations that force it there.  On each
+    valuation this agrees with _forced, which the tests check.
+    """
     atoms: list = []
     _collect_atoms(phi, atoms)
     for up in KRIPKE_FRAMES:
         if logic == "kc" and not _has_top(up):
             continue
-        full = (1 << len(up)) - 1
-        upsets = [
-            s for s in range(full + 1)
-            if all(up[w] & ~s == 0 for w in range(len(up)) if s >> w & 1)
-        ]
-        for vals in itertools.product(upsets, repeat=len(atoms)):
-            if _forced(phi, up, dict(zip(atoms, vals))) != full:
-                return False
+        upsets = _upsets(up)
+        u, n = len(upsets), len(atoms)
+        holding = [{i for i, s in enumerate(upsets) if s >> w & 1} for w in range(len(up))]
+        val = {a: [_digit_mask(j, u, n, ds) for ds in holding] for j, a in enumerate(atoms)}
+        full = (1 << u**n) - 1
+        if any(m != full for m in _forced_masks(phi, up, val, full)):
+            return False
     return True
+
+
+def _forced_masks(phi: Formula, up: tuple[int, ...], val: dict, full: int) -> list[int]:
+    """Per world, the mask of the valuations that force phi there."""
+    worlds = range(len(up))
+    match phi:
+        case Atom():
+            return val[phi]
+        case Top():
+            return [full for _ in worlds]
+        case Bot():
+            return [0 for _ in worlds]
+        case Not(sub):
+            s = _forced_masks(sub, up, val, full)
+            return [full & ~_join(s[v] for v in worlds if up[w] >> v & 1) for w in worlds]
+        case And(a, b):
+            return [x & y for x, y in zip(_forced_masks(a, up, val, full), _forced_masks(b, up, val, full))]
+        case Or(a, b):
+            return [x | y for x, y in zip(_forced_masks(a, up, val, full), _forced_masks(b, up, val, full))]
+        case Implies(a, b):
+            sa, sb = _forced_masks(a, up, val, full), _forced_masks(b, up, val, full)
+            fails = [sa[v] & ~sb[v] for v in worlds]
+            return [full & ~_join(fails[v] for v in worlds if up[w] >> v & 1) for w in worlds]
+    raise ValueError(phi)
+
+
+def _join(masks) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +668,48 @@ def random_classical_judgment(rng: random.Random, logic=CLASSICAL):
     return make_judgment(logic, criticals, goal)
 
 
+def oracle_valid(phi: Formula, logic) -> bool:
+    """phi's validity in the logic by an oracle: kripke_valid for kc, and
+    godel_oracle on the logic's chain otherwise, with atoms + 2 values for lc."""
+    if logic.kind == "kc":
+        return kripke_valid(phi, "kc")
+    atoms: list = []
+    _collect_atoms(phi, atoms)
+    return godel_oracle(phi, {"classical": 2, "lc": len(atoms) + 2}.get(logic.kind, logic.m))
+
+
+def random_judgment(rng: random.Random, logic, driver: str):
+    """One epsilon or tau term e = eps x. A(x) with 1-2 witnesses w among c,
+    d and f(e), their critical formulas, and a depth-3 goal over A(e), A(w)
+    and B(e) that mentions e, negated for the jankov driver.  Only a goal
+    that the criticals entail by the oracle, and that does not hold without
+    them, is kept.
+    """
+    while True:
+        binder = rng.choice((Eps, Tau))
+        e = binder("x", A("A", Bound(0)))
+        witnesses = rng.sample([C("c"), C("d"), F("f", e)], rng.randint(1, 2))
+        at_e, at_ws = A("A", e), [A("A", w) for w in witnesses]
+        atoms = [at_e, *at_ws, A("B", e)]
+        goal = rng.choice((And, Or, Implies))(random_qf_formula(rng, 2, atoms), random_qf_formula(rng, 2, atoms))
+        if e not in _all_terms(goal):
+            continue
+        goal = Not(goal) if driver == "jankov" else goal
+        criticals = [Implies(a, at_e) if binder is Eps else Implies(at_e, a) for a in at_ws]
+        if oracle_valid(Implies(and_join(criticals), goal), logic) and not oracle_valid(goal, logic):
+            return make_judgment(logic, criticals, goal)
+
+
 # ---------------------------------------------------------------------------
 # Shared fixtures
+
+
+def standard_quantifier_axioms(matrix: Formula, hole: str, witness: Term) -> list[Formula]:
+    """all x A(x) -> A(t) and A(t) -> ex x A(x), for shadow checks."""
+    return [
+        Implies(forall(hole, matrix), subst_var(matrix, hole, witness)),
+        Implies(subst_var(matrix, hole, witness), exists(hole, matrix)),
+    ]
 
 
 def recorded(step) -> tuple[Formula, ...]:

@@ -242,6 +242,20 @@ def test_reconstruct(capsys):
     assert "replayed: D(a, b) | D(g(a), c)" in out
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ("x,x", "skeleton variables must be distinct"),
+        ("", "skeleton variable names must not be empty"),
+        ("x,", "skeleton variable names must not be empty"),
+    ],
+)
+def test_reconstruct_checks_the_variable_names_before_matching(capsys, names, message):
+    # neither disjunct matches the skeleton, so a later check would report that
+    code, out, err = run_cli(capsys, "reconstruct", "P(c, d) | P(e, f)", "--skeleton", "P(x, y)", "--vars", names)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_reconstruct_renames_holes_apart_from_the_free_variables(capsys):
     # x and y are free in the disjunction, so the holes print as x' and y'
     # (y'' where y' is already bound)
@@ -343,7 +357,7 @@ def _weak_lin_text(witnesses: int) -> str:
 def test_verified_run_decides_each_query_once_and_no_recorded_instance(
     tmp_path, capsys, monkeypatch, driver
 ):
-    calls, shapes = [], []
+    calls = []
     decide = semantics.decide
 
     def counting_decide(logic, premises, goal, *rest):
@@ -351,7 +365,6 @@ def test_verified_run_decides_each_query_once_and_no_recorded_instance(
         return decide(logic, premises, goal, *rest)
 
     monkeypatch.setattr(semantics, "decide", counting_decide)
-    monkeypatch.setattr(semantics, "_shape", shapes.append)
     path = tmp_path / "run.judgment"
     path.write_text(dump_judgment(grid_judgment("lc3", 2)) if driver == "hb" else _weak_lin_text(6))
     code, out, _ = run_cli(capsys, "eliminate", str(path), "--driver", driver, "--verify", "full")
@@ -362,7 +375,6 @@ def test_verified_run_decides_each_query_once_and_no_recorded_instance(
     # last step's goal with no premises left, so it is not decided again
     assert len(calls) == len(set(calls)) == 1 + steps
     assert recorded and not recorded & {goal for _, goal in calls}
-    assert shapes == []
 
 
 def test_eliminate_verify_full_reports_countervaluation_of_result(tmp_path, capsys):
@@ -508,15 +520,29 @@ def test_check_kc_decides_a_negative_tower_classically(capsys):
     assert run_cli(capsys, "check", "--logic", "kc", formula) == (0, "valid in kc\n", "")
 
 
+@pytest.mark.parametrize(
+    "logic, formula, answer",
+    [
+        ("h", "~" * 900 + "A | " + "~" * 901 + "A", (1, "invalid in h\n", "")),
+        ("kc", "(" + "~" * 900 + "A | " + "~" * 901 + "A) & (B -> B)", (0, "valid in kc\n", "")),
+    ],
+    ids=["h", "kc"],
+)
+def test_prover_reads_a_negation_tower_as_at_most_two_negations(capsys, logic, formula, answer):
+    # ~^900 A | ~^901 A is ~~A | ~A: classically valid, not in H; with
+    # B -> B it is no negative goal in KC either, so the prover decides both
+    assert run_cli(capsys, "check", "--logic", logic, formula) == answer
+
+
 def test_prover_recursion_limit_is_not_an_invalid_answer():
-    # the conjunction of ~^900 A | ~^901 A with B -> B is valid in KC and no
-    # negative goal, so the prover decides it and may run out of stack,
-    # which must end as an error, never as exit 1 ("invalid")
-    formula = "(" + "~" * 900 + "A | " + "~" * 901 + "A) & (B -> B)"
+    # A1 -> A2 -> ... -> A3000 -> A1 is valid in H, and the prover opens
+    # its 3,000 nested implications one recursive call each, which runs out
+    # of stack; that must end as an error, never as exit 1 ("invalid")
+    formula = " -> ".join(f"A{i}" for i in range(1, 3001)) + " -> A1"
     src = str(Path(semantics.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
-        [sys.executable, "-m", "epsitau", "check", "--logic", "kc", formula],
+        [sys.executable, "-m", "epsitau", "check", "--logic", "h", formula],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert run.returncode in (0, 2), run.stderr

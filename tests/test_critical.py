@@ -63,7 +63,7 @@ def test_kind_is_read_off_the_critical_term():
 
 def test_term_never_inside_own_matrix():
     c = make_critical(pf("P(x)"), "x", "eps", pt("c"))
-    assert not occurs(c.critical_term, c.matrix())
+    assert not occurs(c.critical_term, c.matrix_pair()[1])
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_recognize_cross_term_reading():
     r = readings[0]
     assert r.critical_term == pt("eps z. P(f(z)) -> P(z)")
     assert r.witness == pt("eps x. P(x)")
-    assert alpha_eq(r.matrix("z"), pf("P(f(z)) -> P(z)"))
+    assert alpha_eq(r.matrix_pair("z")[1], pf("P(f(z)) -> P(z)"))
 
 
 def test_recognize_no_epsilon():

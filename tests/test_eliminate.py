@@ -20,8 +20,8 @@ from epsitau.eliminate import (
     eliminate_negated_jankov,
     eliminate_predicative_lin,
     eliminate_single_classical,
-    judgment_critical_terms,
     judgment_measure,
+    judgment_readings,
     run_elimination,
     strengthen_premise,
     theorem_form_convert,
@@ -30,7 +30,7 @@ from epsitau.eliminate import (
 from epsitau import semantics, syntax
 from epsitau.judgments import CLASSICAL, H, KC, LC, lcm, make_judgment
 from epsitau.parser import parse_formula as pf, parse_term as pt
-from epsitau.semantics import verify_judgment
+from epsitau.semantics import decide, verify_judgment
 from epsitau.critical import is_predicative
 from epsitau.syntax import Eps, Implies, Not, contains_etau, or_spine, subterms, to_text
 
@@ -44,7 +44,9 @@ from helpers import (
     is_weak_em_instance,
     lc3_worked_judgment,
     letter_atoms,
+    oracle_valid,
     random_classical_judgment,
+    random_judgment,
     recorded,
     recorded_judgment,
     taut_oracle,
@@ -476,8 +478,8 @@ def test_run_elimination_measure_decreases():
     for _ in range(30):
         j = random_classical_judgment(rng)
         trace = run_elimination(j)
-        seq = [judgment_measure(judgment_critical_terms(st.after)) for st in trace.steps]
-        seq.insert(0, judgment_measure(judgment_critical_terms(j)))
+        seq = [judgment_measure(list(judgment_readings(st.after))) for st in trace.steps]
+        seq.insert(0, judgment_measure(list(judgment_readings(j))))
         assert all(b < a for a, b in zip(seq, seq[1:]))
         assert not contains_etau(trace.result)
 
@@ -693,6 +695,27 @@ def test_instance_honesty_random(logic):
             for inst in recorded(st):
                 assert is_em_instance(inst) or is_implication_chain(inst) or is_bigdisj_instance(inst)
                 assert godel_oracle(inst, size), to_text(inst)
+
+
+@pytest.mark.parametrize(
+    "driver, logic",
+    [("hb", CLASSICAL), ("hb", lcm(2)), ("hb", lcm(3)), ("hb", lcm(4)), ("jankov", KC), ("weak-lin", LC)],
+    ids=str,
+)
+def test_random_judgments_whose_goals_need_the_backend(driver, logic):
+    # each goal holds only with its criticals, so a verified run decides
+    # real queries, and a result missing a witness's disjunct fails them
+    rng = random.Random(29)
+    for _ in range(40):
+        j = random_judgment(rng, logic, driver)
+        out = run_elimination(j, verify="full", driver=driver)
+        impredicative = any(not is_predicative(r) for c in j.criticals for r in recognize_critical(c))
+        if isinstance(out, FailureReport):
+            assert driver == "weak-lin" and impredicative
+            continue
+        assert not (driver == "weak-lin" and impredicative)
+        assert oracle_valid(out.result, logic), to_text(out.result)
+        assert decide(logic, [], out.result).holds, to_text(out.result)
 
 
 def test_verified_worked_example_query_count(monkeypatch):

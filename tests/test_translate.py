@@ -34,10 +34,15 @@ from epsitau.translate import (
     herbrand_form,
     quantifier_shift_instance,
     shadow,
-    standard_quantifier_axioms,
 )
 
-from helpers import random_formula, random_matrix, random_term, valid_in_two_element_models
+from helpers import (
+    random_formula,
+    random_matrix,
+    random_term,
+    standard_quantifier_axioms,
+    valid_in_two_element_models,
+)
 
 
 # ---------------------------------------------------------------------------
