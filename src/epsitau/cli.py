@@ -39,15 +39,13 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 def cmd_translate(args) -> int:
     phi = parse_formula(args.formula)
     if args.shadow:
-        out = shadow(phi)
-        label = "shadow"
+        label, out = "shadow", shadow(phi)
     elif args.herbrandize:
-        out = herbrand_form(phi)
-        label = "herbrand_form"
+        label, out = "herbrand_form", herbrand_form(phi)
     else:
-        out = et_translate(phi)
-        label = "translation"
-    _emit(args, {label: to_text(out)}, [to_text(out)])
+        label, out = "translation", et_translate(phi)
+    text = to_text(out)
+    _emit(args, {label: text}, [text])
     return EXIT_OK
 
 

@@ -11,7 +11,6 @@ count) measure decreases and the process stops.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -51,6 +50,7 @@ from .syntax import (
     or_join,
     or_spine,
     sharing,
+    subst_each,
     subst_term,
     subst_var,
     to_text,
@@ -149,15 +149,8 @@ def judgment_measure(terms: Sequence[Term]) -> tuple[int, int, int]:
 
 
 def _expand(goal: Formula, e: Term, terms: Sequence[Term]) -> tuple[Formula, int]:
-    parts: list[Formula] = []
-    for t in terms:
-        parts.extend(or_spine(subst_term(goal, e, t)))
+    parts = [p for g in subst_each(goal, e, terms) for p in or_spine(g)]
     return or_join(dedup(parts)), len(parts)
-
-
-def _at(e: Term, t: Term) -> Formula:
-    """The matrix of e instantiated at t."""
-    return instantiate(e.body, t)
 
 
 def _witnesses(pairs: list[tuple[Formula, CriticalFormula]]) -> list[Term]:
@@ -193,7 +186,7 @@ def _step(
     if not taken:
         raise ValueError(f"no critical formulas of {to_text(e)} to eliminate")
     ws = _witnesses(taken)
-    elim_set, atom_lists = schema(ws, [_at(e, w) for w in ws])
+    elim_set, atom_lists = schema(ws, [instantiate(e.body, w) for w in ws])
     polarity = "eps" if isinstance(e, Eps) else "tau"
     instances = dedup(semantics.Instance(kind, polarity, tuple(xs)) for xs in atom_lists)
     if not all(semantics.proves(j.logic, kind, n) for n in {i.arity for i in instances}):
@@ -202,7 +195,8 @@ def _step(
     rest = [f for f in j.criticals if f not in at_e]
     kept = [f for f, r in readings if not take(r)]
     goal, raw = _expand(j.goal, e, elim_set)
-    criticals = dedup([subst_term(f, e, t) for t in elim_set for f in rest] + kept)
+    across = zip(*[subst_each(f, e, elim_set) for f in rest])  # per set term, each premise
+    criticals = dedup([f for fs in across for f in fs] + kept)
     return EliminationStep(
         target=e,
         eliminated=tuple(f for f, _ in taken),
@@ -309,8 +303,10 @@ def _words(e: Term, contexts: Sequence[Term], n: int) -> dict[tuple[int, ...], T
     """
     terms: dict[tuple[int, ...], Term] = {(): e}
     for length in range(1, n + 1):
-        for word in itertools.product(range(len(contexts)), repeat=length):
-            terms[word] = subst_term(contexts[word[0]], e, terms[word[1:]])
+        suffixes = [x for x in terms if len(x) == length - 1]  # the previous length's words, in order
+        for i, context in enumerate(contexts):
+            applied = subst_each(context, e, [terms[x] for x in suffixes])
+            terms.update(((i, *x), t) for x, t in zip(suffixes, applied))
     return terms
 
 
@@ -336,8 +332,9 @@ def eliminate_impredicative_Bm(j: Judgment, e: Term, m: int) -> EliminationStep:
 
     def schema(ws, pos):
         words = _words(e, sorted(ws, key=canonical_text), m)
-        atoms = {w: _at(e, t) for w, t in words.items()}  # A(w e) for each word w
-        firsts = [_at(e, u) for u in pred_ws]
+        h = Var(fresh("h", names(e)))  # A(w e) for each word w is A(h) at the locally closed w e
+        atoms = dict(zip(words, subst_each(instantiate(e.body, h), h, words.values())))
+        firsts = [instantiate(e.body, u) for u in pred_ws]
         paths = _word_paths(atoms, m) + [[a] + p for p in _word_paths(atoms, m - 1) for a in firsts]
         return dedup(t for w, t in words.items() if len(w) < m), paths
 

@@ -21,6 +21,8 @@ Two walkers keep an explicit stack and visit each distinct node once, so
 their cost follows the distinct nodes, not the tree, and neither recurses
 along a long disjunction: transform goes bottom-up and rewrites a node or
 folds it into a value from its children's, and _nodes visits in pre-order.
+One walk substitutes a term by many: subst_each folds once to list the
+nodes above the term's occurrences, then rebuilds only those per term.
 The printer, too, renders each shared term and atom once: within one
 ``to_text`` call, or within one output whose caller passes the same text
 memo to every call.  That memo is keyed by the printed formula's free
@@ -590,24 +592,45 @@ def subst_var(phi: Obj, name: str, t: Term) -> Obj:
     return transform(phi, leaf)
 
 
-def subst_term(obj: Obj, e: Term, s: Term) -> Obj:
-    """Replace every standalone occurrence of the term e by s.
+def subst_each(obj: Obj, e: Term, terms: Iterable[Term]) -> Iterator[Obj]:
+    """obj with every standalone occurrence of the term e replaced by s, for each s in terms.
 
     Matches outermost first and never descends into the replacement, so the
     result is stable even when s contains e.  Occurrences under a binder that
     captures a variable of e differ structurally from e after index shifting
-    and are left alone.  A node that cannot hold e is returned as it is.
+    and are left alone.  Nodes that cannot hold e are kept, and obj itself
+    when e does not occur; each s rebuilds only the nodes above an occurrence.
+    The results come one at a time, so a caller that flattens or keeps only
+    part of each one never holds all of them.
     """
     may_hold = _may_hold(e)
+    hits: list[int] = []  # ids of the occurrences
+    above: dict[int, _Node] = {}  # the nodes with an occurrence below, in post-order
 
     def leaf(node, depth):
         if not may_hold(node):
-            return node
+            return False
         if isinstance(node, Term) and node == e:
-            return s
+            hits.append(id(node))
+            return True
         return None
 
-    return transform(obj, leaf)
+    def build(node, kids):
+        if any(kids):
+            above[id(node)] = node
+        return any(kids)
+
+    held = transform(obj, leaf, build)
+    for s in terms:
+        new = dict.fromkeys(hits, s)
+        for key, node in above.items():
+            new[key] = rebuild(node, tuple([new.get(id(k), k) for k in node._kids()]))
+        yield new[id(obj)] if held else obj
+
+
+def subst_term(obj: Obj, e: Term, s: Term) -> Obj:
+    """subst_each's one result for s: every standalone occurrence of e replaced by s."""
+    return next(subst_each(obj, e, (s,)))
 
 
 # ---------------------------------------------------------------------------

@@ -594,3 +594,24 @@ def test_instance_lines_print_as_their_formulas(capsys, tmp_path, monkeypatch, j
     instances = [line[12:] for line in text.splitlines() if line.startswith("  instance: ")]
     assert len(instances) >= 17
     assert instances == [i for st in json.loads(doc)["steps"] for i in st["axiom_instances"]]
+
+
+@pytest.mark.parametrize("goal, result", [("(A | B) | C", "A | B | C"), ("A | A", "A")])
+def test_eliminate_without_a_step_prints_a_flat_disjunction_of_distinct_disjuncts(
+    tmp_path, capsys, goal, result
+):
+    path = tmp_path / "judgment.txt"
+    path.write_text(f"logic: classical\ngoal: {goal}\n")
+    assert run_cli(capsys, "eliminate", str(path)) == (0, f"result: {result}\n", "")
+
+
+def test_grid_result_prints_as_the_last_goal(tmp_path, capsys):
+    j = grid_judgment("lc4", 2)
+    path = tmp_path / "judgment.txt"
+    path.write_text(dump_judgment(j))
+    _, text, _ = run_cli(capsys, "eliminate", str(path))
+    goals = [line[8:] for line in text.splitlines() if line.startswith("  goal: ")]
+    assert text.splitlines()[-1] == f"result: {goals[-1]}"
+    _, doc, _ = run_cli(capsys, "--format", "json", "eliminate", str(path))
+    doc = json.loads(doc)
+    assert doc["result"] == doc["steps"][-1]["goal_after"] == goals[-1]

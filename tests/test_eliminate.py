@@ -8,6 +8,7 @@ import pytest
 
 from epsitau.critical import rank, recognize_critical
 from epsitau.eliminate import (
+    _words,
     reconstruct_from_herbrand,
     EliminationError,
     EliminationTrace,
@@ -373,6 +374,16 @@ def test_bm_full_expansion_words():
     assert len(recorded(st)) == 16
     assert all(is_implication_chain(i) for i in recorded(st))
     assert all(len(or_spine(i)) == 3 for i in recorded(st))
+
+
+def test_words_come_by_length_then_lexicographically():
+    e = pt("eps x. A(x)")
+    contexts = [pt(f"s{i}(eps x. A(x))") for i in (1, 2, 3)]
+    words = _words(e, contexts, 3)
+    assert list(words) == sorted(words, key=lambda w: (len(w), w))
+    assert len(words) == 1 + 3 + 9 + 27
+    assert words[(0, 2)] == pt("s1(s3(eps x. A(x)))")
+    assert words[(2, 1, 0)] == pt("s3(s2(s1(eps x. A(x))))")
 
 
 def test_bm_errors():

@@ -1,10 +1,13 @@
+import contextlib
+import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from epsitau.judgments import CLASSICAL
-from epsitau.semantics import Verdict, decide
+from epsitau.semantics import Instance, Verdict, decide
 from epsitau.syntax import (
     And,
     App,
@@ -12,12 +15,14 @@ from epsitau.syntax import (
     Implies,
     Or,
     SortError,
+    Term,
     Var,
     alpha_eq,
     canonical_text,
     contains_etau,
     dedup,
     eps,
+    fill,
     free_vars,
     fresh,
     fresh_numbered,
@@ -28,16 +33,18 @@ from epsitau.syntax import (
     or_join,
     or_spine,
     sharing,
+    subst_each,
     subst_term,
     subst_var,
     tau,
+    template,
     to_text,
     transform,
 )
 from epsitau.translate import et_translate
 from epsitau.parser import parse_formula as pf, parse_term as pt
 
-from helpers import random_formula, random_matrix, random_term
+from helpers import random_formula, random_matrix, random_qf_formula, random_term
 
 
 def test_alpha_eq_renamed_binder():
@@ -327,3 +334,90 @@ def test_text_memo_prints_shared_nodes_as_plain_printing(seed):
         objs = pool + [Implies(rng.choice(pool), rng.choice(pool)) for _ in range(6)]
     rng.shuffle(objs)
     assert _through_one_memo(objs) == [to_text(o) for o in objs]
+
+
+# ---------------------------------------------------------------------------
+# One substitution walker
+
+
+def _subst_one_walk(obj, e, s):
+    """subst_term's definition: one transform that puts s at each node equal to e."""
+    return transform(obj, lambda node, depth: s if isinstance(node, Term) and node == e else None)
+
+
+_E = "eps x. C(x, y)"
+
+
+def _substitution_cases(rng, e):
+    """Random formulas over atoms of e, its separately parsed copies (one under
+    another binder name), a term holding e, and e under a binder capturing y."""
+    terms = [e, pt(_E), pt("eps z. C(z, y)"), pt(f"f({_E})"), pt("c"), Var("v"),
+             pt("tau y. Q(y, c)"), pt("eps y. B(eps x. C(x, y), y)")]
+    atoms = [Atom("P", (t,)) for t in terms] + [Atom("R", (rng.choice(terms), rng.choice(terms)))]
+    atoms.append(pf(f"ex y. P({_E})"))  # e uses the y bound here: left alone
+    return [random_qf_formula(rng, 4, atoms) for _ in range(40)]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_subst_each_agrees_with_one_walk_per_term(shared):
+    rng = random.Random(30)
+    with sharing() if shared else contextlib.nullcontext():
+        e = pt(_E)
+        ts = [pt("c"), pt(f"g({_E})"), e, pt(_E), pt("tau y. Q(y, c)")]  # s may contain e, or be e
+        for obj in _substitution_cases(rng, e) + [pt(_E), pf("P(c)")]:
+            got = list(subst_each(obj, e, ts))
+            want = [_subst_one_walk(obj, e, t) for t in ts]
+            assert got == want
+            assert [to_text(g) for g in got] == [to_text(w) for w in want]
+            assert [g is obj for g in got] == [w is obj for w in want]  # kept where nothing changed
+            assert list(subst_each(obj, e, [])) == []
+            assert subst_term(obj, e, ts[0]) == want[0]
+            if not occurs(e, obj):
+                assert all(g is obj for g in got)
+        assert all(map(operator.is_, subst_each(pt(_E), e, ts), ts))  # obj == e gives each s itself
+        captured = pf(f"B({_E}, y) & (ex y. B({_E}, y))")
+        assert list(subst_each(captured, e, ts[:1])) == [pf(f"B(c, y) & (ex y. B({_E}, y))")]
+
+
+# ---------------------------------------------------------------------------
+# Filling a template with binder-free atoms
+
+
+def _binder_free_atom(rng, leaves):
+    def term(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        return App(rng.choice("fg"), tuple(term(depth - 1) for _ in range(rng.randint(1, 2))))
+
+    return Atom(rng.choice("PQ"), tuple(term(3) for _ in range(rng.randint(0, 2))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_fill_prints_binder_free_atoms_as_the_printer_does(seed):
+    # the first atoms meet their eps/tau leaves unprinted; later atoms
+    # find those leaves, and repeated atoms themselves, in the memo
+    rng = random.Random(seed)
+    leaves = [Var("x"), App("c", ()), eps("x", pf("A(x, y)")), tau("x", pf("B(x) & (ex y. C(x, y))"))]
+    holes = [Atom("?0"), Atom("?1")]
+    shape = template(Or(holes[0], Implies(holes[1], holes[0])), holes)
+    memo: dict = {}
+    printed = []  # the memo keys nodes by id: each printed node stays alive
+    for _ in range(3):
+        a, b = _binder_free_atom(rng, leaves), _binder_free_atom(rng, leaves)
+        printed += (a, b)
+        for parts in ((a, b), (b, a)):
+            assert fill(shape, parts, memo) == to_text(Or(parts[0], Implies(parts[1], parts[0])))
+
+
+def test_instance_line_over_a_deep_term_needs_no_recursion():
+    assert sys.getrecursionlimit() <= 1000
+    e = pt("eps x. A(x)")
+    t = e
+    for _ in range(3000):
+        t = App("s", (t,))
+    text = "s(" * 3000 + "eps x. A(x)" + ")" * 3000
+    memo: dict = {}
+    assert to_text(e, memo) == "eps x. A(x)"  # the leaf is in the memo, the tree is not
+    inst = Instance("Bm", "eps", (Atom("A", (t,)), Atom("A", (e,))))
+    assert inst.text(memo) == f"A({text}) -> A(eps x. A(x))"
