@@ -17,18 +17,13 @@ from .eliminate import (
     EliminationStep,
     EliminationTrace,
     FailureReport,
-    bm_extract,
-    combine_disjunction,
     eliminate_complete_Gm,
     eliminate_complete_classical,
     eliminate_impredicative_Bm,
     eliminate_negated_jankov,
     eliminate_predicative_lin,
-    eliminate_single_classical,
     reconstruct_from_herbrand,
     run_elimination,
-    strengthen_premise,
-    theorem_form_convert,
     trace_to_json,
 )
 from .judgments import (
@@ -38,7 +33,6 @@ from .judgments import (
     LC,
     Judgment,
     Logic,
-    dump_judgment,
     lcm,
     load_judgment,
     make_judgment,
@@ -48,8 +42,6 @@ from .parser import ParseError, parse_formula, parse_term
 from .semantics import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    GodelChain,
-    counterexample_Bm,
     eval_godel,
     prove_H,
     schema,
@@ -75,7 +67,6 @@ from .syntax import (
     Term,
     Top,
     Var,
-    alpha_eq,
     canonical_text,
     eps,
     exists,
@@ -87,15 +78,6 @@ from .syntax import (
     tau,
     to_text,
 )
-from .translate import (
-    CriticalWitness,
-    ModusPonensWitness,
-    QuantifierShiftKind,
-    ShiftInstance,
-    et_translate,
-    herbrand_form,
-    quantifier_shift_instance,
-    shadow,
-)
+from .translate import et_translate, herbrand_form, shadow
 
 __version__ = "0.1.0"

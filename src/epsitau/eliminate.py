@@ -28,10 +28,8 @@ from .critical import (
 from .judgments import LC, Judgment, Logic, make_judgment
 from .syntax import (
     App,
-    Atom,
     Eps,
     Formula,
-    Implies,
     Not,
     Term,
     Var,
@@ -62,19 +60,14 @@ __all__ = [
     "EliminationStep",
     "EliminationTrace",
     "FailureReport",
-    "bm_extract",
-    "combine_disjunction",
     "eliminate_complete_Gm",
     "eliminate_complete_classical",
     "eliminate_impredicative_Bm",
     "eliminate_negated_jankov",
     "eliminate_predicative_lin",
-    "eliminate_single_classical",
     "judgment_measure",
     "reconstruct_from_herbrand",
     "run_elimination",
-    "strengthen_premise",
-    "theorem_form_convert",
     "trace_to_json",
 ]
 
@@ -89,7 +82,6 @@ class EliminationStep:
     eliminated: tuple[Formula, ...]
     elimination_set: tuple[Term, ...]
     axiom_instances_used: tuple[semantics.Instance, ...]
-    before: Judgment
     after: Judgment
     raw_disjunct_count: int
 
@@ -202,69 +194,13 @@ def _step(
         eliminated=tuple(f for f, _ in taken),
         elimination_set=tuple(elim_set),
         axiom_instances_used=instances,
-        before=j,
         after=Judgment(j.logic, criticals, (), goal),
         raw_disjunct_count=raw,
     )
 
 
 # ---------------------------------------------------------------------------
-# Structural lemmas as operations
-
-
-def combine_disjunction(j1: Judgment, a: Formula, j2: Judgment, b: Formula) -> Judgment:
-    """From (Gamma, A |- C) and (Gamma', B |- D) build (Gamma, Gamma', A|B |- C|D)."""
-    if j1.logic != j2.logic:
-        raise ValueError(f"logic mismatch: {j1.logic} vs {j2.logic}")
-    if a not in j1.criticals:
-        raise ValueError(f"premise not present: {to_text(a)}")
-    if b not in j2.criticals:
-        raise ValueError(f"premise not present: {to_text(b)}")
-    rest1 = [f for f in j1.criticals if f != a]
-    rest2 = [f for f in j2.criticals if f != b]
-    merged = or_join(dedup([a, b]))
-    goal = or_join(dedup(or_spine(j1.goal) + or_spine(j2.goal)))
-    return Judgment(
-        j1.logic,
-        dedup(rest1 + rest2 + [merged]),
-        dedup(list(j1.instances) + list(j2.instances)),
-        goal,
-    )
-
-
-def strengthen_premise(
-    j: Judgment,
-    a: Formula,
-    b: Formula,
-    justification: str = "",
-    budget: int = semantics.DEFAULT_BUDGET,
-) -> Judgment:
-    """Replace premise A by B, once the backend shows B |- A in the judgment's logic."""
-    if a not in j.criticals:
-        raise ValueError(f"premise not present: {to_text(a)}")
-    if not semantics.decide(j.logic, [b], a, budget):
-        raise EliminationError(
-            f"justification {justification!r} failed: {to_text(b)} |- {to_text(a)}"
-        )
-    criticals = tuple(b if f == a else f for f in j.criticals)
-    return Judgment(j.logic, dedup(criticals), j.instances, j.goal)
-
-
-# ---------------------------------------------------------------------------
 # Elimination set constructions
-
-
-def eliminate_single_classical(j: Judgment, c: CriticalFormula) -> EliminationStep:
-    """Remove one critical formula using an excluded-middle instance.
-
-    The elimination set is {e, s}; the other critical formulas of e are kept
-    unsubstituted, the rest doubled across the set.
-    """
-    if c.rendered not in j.criticals:
-        raise ValueError(f"not a premise: {to_text(c.rendered)}")
-    e = c.critical_term
-    refusal = "single elimination via excluded middle needs classical logic"
-    return _step(j, e, "EM", refusal, lambda ws, pos: (dedup([e] + ws), [pos]), lambda r: r == c)
 
 
 def eliminate_complete_classical(j: Judgment, e: Term) -> EliminationStep:
@@ -553,89 +489,6 @@ def reconstruct_from_herbrand(
     if isinstance(outcome, FailureReport):
         raise EliminationError(f"reconstruction replay failed: {outcome}")
     return judgment, outcome
-
-
-# ---------------------------------------------------------------------------
-# Chain-length extraction from a Herbrand disjunction
-
-
-def bm_extract(herbrand: Formula, f: str, p: str) -> int:
-    """Least chain length covering a disjunction of instances of P(f(z)) -> P(z).
-
-    Disjuncts are grouped by the innermost term not headed by f; within each
-    group the tower is padded to be contiguous, shared atoms are contracted
-    across groups, and the longest tower determines the chain length.
-    """
-    best = 0
-    for d in or_spine(herbrand):
-        match d:
-            case Implies(Atom(p1, (t1,)), Atom(p2, (t2,))) if p1 == p and p2 == p:
-                if t1 != App(f, (t2,)):
-                    raise ValueError(f"disjunct is not an instance of the matrix: {to_text(d)}")
-                height = 0
-                base = t2
-                while isinstance(base, App) and base.head == f and len(base.args) == 1:
-                    height += 1
-                    base = base.args[0]
-                best = max(best, height + 1)
-            case _:
-                raise ValueError(f"disjunct is not an instance of the matrix: {to_text(d)}")
-    if best == 0:
-        raise ValueError("empty disjunction")
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Equivalent formulations of the elimination theorem
-
-
-def theorem_form_convert(
-    direction: str, j: Judgment, assumption: Formula | None = None
-) -> tuple[Judgment, EliminationTrace | None]:
-    """Move between the plain and the hypothesis-bearing theorem forms.
-
-    "1to3" packages an assumption B(e') into the goal, eliminates, and splits
-    the resulting disjunction of implications into conjoined hypotheses and a
-    disjoined conclusion.  "2to1" substitutes the goal disjunction for a
-    placeholder atom, leaving provable residue premises.
-    """
-    if direction == "1to3":
-        if assumption is None:
-            raise ValueError("direction 1to3 needs the hypothesis formula")
-        packaged = Judgment(
-            j.logic, j.criticals, j.instances, Implies(assumption, j.goal)
-        )
-        trace = run_elimination(packaged)
-        lefts: list[Formula] = []
-        rights: list[Formula] = []
-        for d in or_spine(trace.result):
-            if not isinstance(d, Implies):
-                raise EliminationError(
-                    f"expected a disjunction of implications, got {to_text(d)}"
-                )
-            lefts.append(d.left)
-            rights.append(d.right)
-        out = make_judgment(j.logic, dedup(lefts), or_join(dedup(rights)))
-        return out, trace
-    if direction == "2to1":
-        if not j.criticals:
-            return j, None
-        if not (isinstance(j.goal, Atom) and not j.goal.args):
-            raise ValueError("direction 2to1 needs a placeholder atom as goal")
-        x = j.goal
-        parts: list[Formula] = []
-        for pformula in j.criticals:
-            if not (isinstance(pformula, Implies) and pformula.right == x):
-                raise ValueError(
-                    f"premises must have the placeholder as consequent: {to_text(pformula)}"
-                )
-            if x in semantics.prop_atoms(pformula.left):
-                raise ValueError("the placeholder atom must not occur in the hypotheses")
-            parts.append(pformula.left)
-        big = or_join(dedup(parts))
-        residues = [Implies(a, big) for a in parts]
-        return make_judgment(j.logic, residues, big), None
-    raise ValueError(f"unknown direction {direction!r} (use '1to3' or '2to1')")
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,3 @@ def load_judgment(text: str) -> Judgment:
         raise ValueError("judgment file is missing a 'goal:' line")
     return make_judgment(logic, criticals, goal, instances)
 
-
-def dump_judgment(j: Judgment) -> str:
-    lines = [f"logic: {j.logic}"]
-    lines += [f"critical: {to_text(c)}" for c in j.criticals]
-    lines += [f"instance: {to_text(i)}" for i in j.instances]
-    lines.append(f"goal: {to_text(j.goal)}")
-    return "\n".join(lines) + "\n"

@@ -51,21 +51,6 @@ from .syntax import (
 DEFAULT_BUDGET = 20_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class GodelChain:
-    """Truth values 0..size-1 with designated value size-1."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 2:
-            raise ValueError("a Godel chain needs at least 2 values")
-
-    @property
-    def top(self) -> int:
-        return self.size - 1
-
-
 Valuation = dict[str, int]
 
 
@@ -85,20 +70,23 @@ def prop_atoms(phi: Formula) -> list[Formula]:
 # Godel evaluation
 
 
-def eval_godel(phi: Formula, valuation: Valuation, chain: GodelChain) -> int:
-    """min/max semantics with residuated implication on the chain.
+def eval_godel(phi: Formula, valuation: Valuation, size: int) -> int:
+    """min/max semantics with residuated implication on the chain 0..size-1.
 
-    The valuation is keyed by atom text, as a countervaluation is: every atom
-    takes the value of the first atom of its alpha-class in phi.
+    The designated value is size-1.  The valuation is keyed by atom text, as
+    a countervaluation is: every atom takes the value of the first atom of
+    its alpha-class in phi.
     """
+    if size < 2:
+        raise ValueError("a Godel chain needs at least 2 values")
     if not is_quantifier_free(phi):
         raise ValueError(f"not a propositional formula: {to_text(phi)}")
     values: dict[Formula, int] = {}
     for a in prop_atoms(phi):
         v = values[a] = valuation.get(to_text(a), -1)
-        if not 0 <= v <= chain.top:
+        if not 0 <= v < size:
             raise ValueError(f"no value on the chain for atom {to_text(a)!r}")
-    return _godel_value(phi, values, chain.top)
+    return _godel_value(phi, values, size - 1)
 
 
 def _godel_value(phi: Formula, values: dict[Formula, int], top: int) -> int:
@@ -220,16 +208,6 @@ def lc_chain_size(phi: Formula) -> int:
     return len(prop_atoms(phi)) + 2
 
 
-def counterexample_Bm(m: int) -> Valuation:
-    """A refuting valuation for the m-link chain schema on the (m+1)-chain.
-
-    Strictly descending values make every link fail: atom i gets m+1-i.
-    """
-    if m < 2:
-        raise ValueError("the chain schema needs m >= 2")
-    return {f"A{i}": m + 1 - i for i in range(1, m + 2)}
-
-
 # ---------------------------------------------------------------------------
 # Schemas
 
@@ -303,10 +281,7 @@ class Instance:
 
     The step certifies it by proves(logic, kind, arity).  At one kind,
     polarity and arity two records are equal iff their formulas are, so a
-    step dedups its records as it would their formulas.  ``formula`` is
-    schema(kind, atoms, polarity=polarity), built anew on each call and
-    cached nowhere: it adds only connective nodes over the atoms held here,
-    so one text memo of syntax.to_text may print many of them.
+    step dedups its records as it would their formulas.
     """
 
     kind: str
@@ -318,13 +293,10 @@ class Instance:
         """The link count for Bm, the atom count otherwise."""
         return len(self.atoms) - (self.kind == "Bm")
 
-    @property
-    def formula(self) -> Formula:
-        return schema(self.kind, self.atoms, polarity=self.polarity)
-
     def text(self, memo: dict) -> str:
-        """to_text(self.formula, memo), filled into the memo's template of the
-        record's kind, polarity and atom count (see syntax.fill)."""
+        """The text of schema(kind, atoms, polarity=polarity), filled into the
+        memo's template of the record's kind, polarity and atom count (see
+        syntax.fill), as to_text would print it through the memo."""
         key = (self.kind, self.polarity, len(self.atoms))
         shape = memo.get(key)
         if shape is None:

@@ -535,11 +535,6 @@ def contains_etau(obj: Obj) -> bool:
     return bool(obj._info & _ETAU)
 
 
-def subterms(obj: Obj) -> Iterator[Term]:
-    """The term-sort nodes of obj (obj itself if it is a term), each once."""
-    return (n for n in _nodes(obj) if isinstance(n, Term))
-
-
 def etau_subterms(obj: Obj) -> list[Term]:
     """Standalone epsilon/tau subterms of obj, outermost first, deduplicated.
 
@@ -564,13 +559,6 @@ def occurs(e: Term, obj: Obj) -> bool:
     """True iff some subterm of obj equals e up to bound-variable renaming."""
     may_hold = _may_hold(e)
     return any(isinstance(n, Term) and n == e for n in _nodes(obj, may_hold))
-
-
-def alpha_eq(a: Obj, b: Obj) -> bool:
-    """Equality up to consistent renaming of bound variables."""
-    if isinstance(a, Term) != isinstance(b, Term):
-        raise SortError("cannot compare a term with a formula")
-    return a == b
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import itertools
 import random
 
 from epsitau.critical import make_critical
-from epsitau.judgments import CLASSICAL, make_judgment
+from epsitau.judgments import CLASSICAL, Judgment, make_judgment
+from epsitau.semantics import schema
 from epsitau.syntax import (
     And,
     App,
@@ -35,6 +36,7 @@ from epsitau.syntax import (
     Term,
     Top,
     Var,
+    _nodes,
     abstract_var,
     and_join,
     canonical_text,
@@ -43,7 +45,6 @@ from epsitau.syntax import (
     instantiate,
     or_spine,
     subst_var,
-    subterms,
     to_text,
 )
 
@@ -571,6 +572,11 @@ def random_matrix(rng: random.Random, depth: int, hole: str) -> Formula:
     return Atom("P", (Var(hole),))
 
 
+def subterms(obj):
+    """The term-sort nodes of obj (obj itself if it is a term), each once."""
+    return (n for n in _nodes(obj) if isinstance(n, Term))
+
+
 def _all_terms(phi) -> set:
     return set(subterms(phi))
 
@@ -712,9 +718,14 @@ def standard_quantifier_axioms(matrix: Formula, hole: str, witness: Term) -> lis
     ]
 
 
+def instance_formula(inst) -> Formula:
+    """The schema instance a semantics.Instance record stands for."""
+    return schema(inst.kind, inst.atoms, polarity=inst.polarity)
+
+
 def recorded(step) -> tuple[Formula, ...]:
     """The formulas of the schema instances an elimination step records."""
-    return tuple(inst.formula for inst in step.axiom_instances_used)
+    return tuple(map(instance_formula, step.axiom_instances_used))
 
 
 def recorded_judgment(step):
@@ -774,3 +785,12 @@ def grid_judgment(logic: str, k: int):
     lines += [f"critical: A(u{i}) -> A({e})" for i in (1, 2)]
     lines.append(f"goal: A(u1) -> A({e})")
     return load_judgment("\n".join(lines) + "\n")
+
+
+def dump_judgment(j: Judgment) -> str:
+    """The judgment file that load_judgment reads back as j."""
+    lines = [f"logic: {j.logic}"]
+    lines += [f"critical: {to_text(c)}" for c in j.criticals]
+    lines += [f"instance: {to_text(i)}" for i in j.instances]
+    lines.append(f"goal: {to_text(j.goal)}")
+    return "\n".join(lines) + "\n"

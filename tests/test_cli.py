@@ -9,8 +9,15 @@ import pytest
 from epsitau import semantics
 from epsitau.cli import main
 
-from helpers import grid_judgment, lc3_worked_judgment, refutes, weak_lin_negative_judgment
-from epsitau.judgments import H, KC, dump_judgment, lcm, load_judgment, make_judgment
+from helpers import (
+    dump_judgment,
+    grid_judgment,
+    instance_formula,
+    lc3_worked_judgment,
+    refutes,
+    weak_lin_negative_judgment,
+)
+from epsitau.judgments import H, KC, lcm, load_judgment, make_judgment
 from epsitau.parser import parse_formula
 from epsitau.syntax import to_text
 
@@ -585,7 +592,9 @@ def test_instance_lines_print_as_their_formulas(capsys, tmp_path, monkeypatch, j
     outputs = []
     for through_formula in (False, True):
         if through_formula:
-            monkeypatch.setattr(semantics.Instance, "text", lambda self, memo: to_text(self.formula, memo))
+            monkeypatch.setattr(
+                semantics.Instance, "text", lambda self, memo: to_text(instance_formula(self), memo)
+            )
         argv = ["eliminate", str(path), "--verify", "none"]
         outputs.append([run_cli(capsys, *fmt, *argv) for fmt in ([], ["--format", "json"])])
     assert outputs[0] == outputs[1]

@@ -13,19 +13,14 @@ from epsitau.eliminate import (
     EliminationError,
     EliminationTrace,
     FailureReport,
-    bm_extract,
-    combine_disjunction,
     eliminate_complete_Gm,
     eliminate_complete_classical,
     eliminate_impredicative_Bm,
     eliminate_negated_jankov,
     eliminate_predicative_lin,
-    eliminate_single_classical,
     judgment_measure,
     judgment_readings,
     run_elimination,
-    strengthen_premise,
-    theorem_form_convert,
     trace_to_json,
 )
 from epsitau import semantics, syntax
@@ -33,7 +28,7 @@ from epsitau.judgments import CLASSICAL, H, KC, LC, lcm, make_judgment
 from epsitau.parser import parse_formula as pf, parse_term as pt
 from epsitau.semantics import decide, verify_judgment
 from epsitau.critical import is_predicative
-from epsitau.syntax import Eps, Implies, Not, contains_etau, or_spine, subterms, to_text
+from epsitau.syntax import Implies, Not, contains_etau, or_spine, to_text
 
 from helpers import (
     chain_witness_judgment,
@@ -50,50 +45,11 @@ from helpers import (
     random_judgment,
     recorded,
     recorded_judgment,
+    subterms,
     taut_oracle,
     weak_lin_negative_judgment,
 )
-
-
-# ---------------------------------------------------------------------------
-# structural lemma operations
-
-
-def test_combine_disjunction_basic():
-    j1 = make_judgment(CLASSICAL, [pf("A")], pf("C"))
-    j2 = make_judgment(CLASSICAL, [pf("B")], pf("D"))
-    out = combine_disjunction(j1, pf("A"), j2, pf("B"))
-    assert out.criticals == (pf("A | B"),)
-    assert out.goal == pf("C | D")
-
-
-def test_combine_disjunction_idempotent():
-    j = make_judgment(CLASSICAL, [pf("A")], pf("C"))
-    out = combine_disjunction(j, pf("A"), j, pf("A"))
-    assert out == j
-
-
-def test_combine_disjunction_logic_mismatch():
-    j1 = make_judgment(CLASSICAL, [pf("A")], pf("C"))
-    j2 = make_judgment(LC, [pf("B")], pf("D"))
-    with pytest.raises(ValueError):
-        combine_disjunction(j1, pf("A"), j2, pf("B"))
-
-
-def test_strengthen_premise_verified():
-    # ~A(s) |- A(s) -> A(e): replacing the critical premise by ~A(s)
-    j = make_judgment(CLASSICAL, [pf("A(s_0) -> A(eps x. A(x))")], pf("G"))
-    out = strengthen_premise(
-        j, pf("A(s_0) -> A(eps x. A(x))"), pf("~A(s_0)"), "negated witness"
-    )
-    assert out.criticals == (pf("~A(s_0)"),)
-
-
-def test_strengthen_premise_identity_and_failure():
-    j = make_judgment(CLASSICAL, [pf("A")], pf("G"))
-    assert strengthen_premise(j, pf("A"), pf("A")) == j
-    with pytest.raises(Exception):
-        strengthen_premise(j, pf("A"), pf("B"))
+from paper import bm_extract, eliminate_single_classical, theorem_form_convert
 
 
 # ---------------------------------------------------------------------------
@@ -819,14 +775,16 @@ def test_text_memo_prints_each_step_as_plain_printing():
 
 def test_run_rebuilds_its_input_in_the_sharing_scope():
     # the parser builds a copy of eps x. A(x) for each occurrence; the run's
-    # first judgment holds one
-    def eps_nodes(j):
-        return {id(t) for f in (*j.criticals, j.goal) for t in subterms(f) if isinstance(t, Eps)}
+    # first step finds one node in the premises it eliminates, its target
+    e = pt("eps x. A(x)")
+
+    def copies(fs):
+        return {id(t) for f in fs for t in subterms(f) if t == e}
 
     j = lc3_worked_judgment()
-    assert len(eps_nodes(j)) > 1
-    first = run_elimination(j).steps[0].before
-    assert first == j and len(eps_nodes(first)) == 1
+    assert len(copies((*j.criticals, j.goal))) > 1
+    first = run_elimination(j).steps[0]
+    assert first.target == e and copies(first.eliminated) == {id(first.target)}
 
 
 def test_trace_json_deterministic():

@@ -10,10 +10,8 @@ from epsitau.parser import parse_formula as pf
 from epsitau import semantics
 from epsitau.semantics import (
     BudgetExceededError,
-    GodelChain,
     Instance,
     Verdict,
-    counterexample_Bm,
     decide,
     eval_godel,
     lc_chain_size,
@@ -47,6 +45,7 @@ from helpers import (
     refutes,
     taut_oracle,
 )
+from paper import counterexample_Bm
 
 
 # ---------------------------------------------------------------------------
@@ -54,28 +53,28 @@ from helpers import (
 
 
 def test_eval_implication_clause():
-    chain = GodelChain(3)
-    assert eval_godel(pf("A -> B"), {"A": 1, "B": 0}, chain) == 0
-    assert eval_godel(pf("A -> B"), {"A": 0, "B": 1}, chain) == 2
-    assert eval_godel(pf("A -> B"), {"A": 2, "B": 2}, chain) == 2
+    size = 3
+    assert eval_godel(pf("A -> B"), {"A": 1, "B": 0}, size) == 0
+    assert eval_godel(pf("A -> B"), {"A": 0, "B": 1}, size) == 2
+    assert eval_godel(pf("A -> B"), {"A": 2, "B": 2}, size) == 2
 
 
 def test_eval_connectives():
-    chain = GodelChain(4)
+    size = 4
     v = {"A": 2, "B": 1}
-    assert eval_godel(pf("A & B"), v, chain) == 1
-    assert eval_godel(pf("A | B"), v, chain) == 2
-    assert eval_godel(pf("~A"), v, chain) == 0
-    assert eval_godel(pf("~A"), {"A": 0}, chain) == 3
-    assert eval_godel(pf("top"), {}, chain) == 3
-    assert eval_godel(pf("bot"), {}, chain) == 0
+    assert eval_godel(pf("A & B"), v, size) == 1
+    assert eval_godel(pf("A | B"), v, size) == 2
+    assert eval_godel(pf("~A"), v, size) == 0
+    assert eval_godel(pf("~A"), {"A": 0}, size) == 3
+    assert eval_godel(pf("top"), {}, size) == 3
+    assert eval_godel(pf("bot"), {}, size) == 0
 
 
 def test_eval_godel_on_the_lc6_k4_grid_result():
     # 2,730 disjuncts, nested far past the interpreter's recursion limit
     result = run_elimination(grid_judgment("lc6", 4)).result
     zero = {to_text(a): 0 for a in prop_atoms(result)}
-    assert eval_godel(result, zero, GodelChain(6)) == 5
+    assert eval_godel(result, zero, 6) == 5
 
 
 @pytest.mark.parametrize("n", [3000, 3001])
@@ -85,8 +84,7 @@ def test_eval_godel_on_a_deep_negation_tower(n, a):
     f = Atom("A", ())
     for _ in range(n):
         f = Not(f)
-    chain = GodelChain(3)
-    assert eval_godel(f, {"A": a}, chain) == (chain.top if (n % 2 == 1) == (a == 0) else 0)
+    assert eval_godel(f, {"A": a}, 3) == (2 if (n % 2 == 1) == (a == 0) else 0)
 
 
 def test_eval_godel_on_shared_levels_takes_linear_time():
@@ -96,13 +94,13 @@ def test_eval_godel_on_shared_levels_takes_linear_time():
     for _ in range(30):
         f = Or(And(f, f), b)
     start = time.perf_counter()
-    assert eval_godel(f, {"A": 1, "B": 0}, GodelChain(3)) == 1
+    assert eval_godel(f, {"A": 1, "B": 0}, 3) == 1
     assert time.perf_counter() - start < 1.0
 
 
 def test_eval_unmapped_atom():
     with pytest.raises(ValueError):
-        eval_godel(pf("A"), {}, GodelChain(2))
+        eval_godel(pf("A"), {}, 2)
 
 
 def test_chain2_matches_classical_truth_tables():
@@ -119,10 +117,10 @@ def test_chain2_matches_classical_truth_tables():
             out += [And(a, b), Or(a, b), Implies(a, b)]
         return out
 
-    chain = GodelChain(2)
+    size = 2
     for f in build(2):
         godel = all(
-            eval_godel(f, {"A": va, "B": vb}, chain) == 1
+            eval_godel(f, {"A": va, "B": vb}, size) == 1
             for va in (0, 1)
             for vb in (0, 1)
         )
@@ -169,8 +167,7 @@ def test_budget_error():
 def test_counterexample_bm_refutes():
     for m in range(2, 9):
         v = counterexample_Bm(m)
-        chain = GodelChain(m + 1)
-        assert eval_godel(schema("Bm", n=m), v, chain) < chain.top
+        assert eval_godel(schema("Bm", n=m), v, m + 1) < m
     assert counterexample_Bm(2) == {"A1": 2, "A2": 1, "A3": 0}
 
 
@@ -476,7 +473,7 @@ def test_decide_on_first_order_atoms_agrees_with_letters():
             if v.holds:
                 continue
             size, valuation = v.chain_size, v.countervaluation
-            assert eval_godel(query, valuation, GodelChain(size)) < size - 1
+            assert eval_godel(query, valuation, size) < size - 1
             assert size == letter.chain_size
             assert valuation == {texts[a]: x for a, x in letter.countervaluation.items()}
             refuted += 1
