@@ -8,6 +8,7 @@ report or failed check, 2 usage error or recursion too deep, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -67,6 +68,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict else EXIT_INVALID
 
 
+def _chain_family(st: elim.EliminationStep, memo: dict) -> str:
+    """A Bm step's chains as eliminate_impredicative_Bm makes them: through
+    each word of length m over the contexts, then from each first atom."""
+    insts = st.axiom_instances_used
+    m = insts[0].arity
+    line = f"{len(insts)} Bm {insts[0].polarity} chains of {m} links, through each word of length {m}"
+    if st.chain_firsts:
+        atoms = ", ".join(to_text(a, memo) for a in st.chain_firsts)
+        line += f" and from {atoms} through each word of length {m - 1}"
+    return line
+
+
 def _trace_lines(trace: elim.EliminationTrace) -> Iterator[str]:
     memo: dict = {}  # one text memo for the trace; see syntax.to_text
     for i, st in enumerate(trace.steps, start=1):
@@ -74,8 +87,12 @@ def _trace_lines(trace: elim.EliminationTrace) -> Iterator[str]:
         yield f"  set: {', '.join(to_text(t, memo) for t in st.elimination_set)}"
         for f in st.eliminated:
             yield f"  removed: {to_text(f, memo)}"
-        for inst in st.axiom_instances_used:
-            yield f"  instance: {inst.text(memo)}"
+        insts = st.axiom_instances_used
+        if insts[0].kind == "Bm":  # JSON lists the members; one schema row certifies them all
+            yield f"  instances: {_chain_family(st, memo)}"
+        else:
+            for inst in insts:
+                yield f"  instance: {inst.text(memo)}"
         yield f"  goal: {to_text(st.after.goal, memo)}"
     for t, name in trace.grounding:
         yield f"ground {to_text(t, memo)} as {name}"
@@ -174,7 +191,9 @@ def cmd_schemas(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared, unchanged, by every main call."""
     ap = argparse.ArgumentParser(
         prog="epsitau",
         description="epsilon/tau calculi over intermediate propositional logics",

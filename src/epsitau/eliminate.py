@@ -12,7 +12,7 @@ count) measure decreases and the process stops.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from . import semantics
@@ -84,6 +84,7 @@ class EliminationStep:
     axiom_instances_used: tuple[semantics.Instance, ...]
     after: Judgment
     raw_disjunct_count: int
+    chain_firsts: tuple[Formula, ...] = ()  # a Bm step's predicative first atoms A(u)
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,23 +260,25 @@ def eliminate_impredicative_Bm(j: Judgment, e: Term, m: int) -> EliminationStep:
     The witnesses' contexts are iterated into words of length < m; the goal
     is disjoined over every word applied to e, the predicative premises stay,
     and the recorded instances are the m-link chains through the length-m
-    words, and from each predicative witness through the length-(m-1) words.
+    words, and from each predicative witness u through the length-(m-1)
+    words; the step keeps their first atoms A(u) as chain_firsts.
     """
     if m < 2:
         raise ValueError("chain elimination needs m >= 2")
     readings = judgment_readings(j).get(e, [])
     pred_ws = _witnesses([(f, r) for f, r in readings if is_predicative(r)])
+    firsts = tuple(instantiate(e.body, u) for u in pred_ws)
 
     def schema(ws, pos):
         words = _words(e, sorted(ws, key=canonical_text), m)
         h = Var(fresh("h", names(e)))  # A(w e) for each word w is A(h) at the locally closed w e
         atoms = dict(zip(words, subst_each(instantiate(e.body, h), h, words.values())))
-        firsts = [instantiate(e.body, u) for u in pred_ws]
         paths = _word_paths(atoms, m) + [[a] + p for p in _word_paths(atoms, m - 1) for a in firsts]
         return dedup(t for w, t in words.items() if len(w) < m), paths
 
     refusal = f"logic {j.logic} does not prove the {m}-link chain schema"
-    return _step(j, e, "Bm", refusal, schema, take=lambda r: not is_predicative(r))
+    step = _step(j, e, "Bm", refusal, schema, take=lambda r: not is_predicative(r))
+    return replace(step, chain_firsts=firsts)
 
 
 def eliminate_complete_Gm(j: Judgment, e: Term, m: int) -> list[EliminationStep]:

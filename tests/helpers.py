@@ -13,12 +13,15 @@ the per-valuation evaluators are their reference in the tests.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
+import re
 
-from epsitau.critical import make_critical
+from epsitau.critical import make_critical, recognize_critical
 from epsitau.judgments import CLASSICAL, Judgment, make_judgment
-from epsitau.semantics import schema
+from epsitau.parser import parse_formula
+from epsitau.semantics import Instance, schema
 from epsitau.syntax import (
     And,
     App,
@@ -44,6 +47,7 @@ from epsitau.syntax import (
     forall,
     instantiate,
     or_spine,
+    subst_term,
     subst_var,
     to_text,
 )
@@ -735,6 +739,59 @@ def recorded_judgment(step):
     any instance given from outside a run.
     """
     return dataclasses.replace(step.after, instances=recorded(step))
+
+
+_FAMILY_LINE = re.compile(
+    r"  instances: (\d+) Bm (eps|tau) chains of (\d+) links, through each word of length (\d+)"
+    r"(?: and from (.+) through each word of length (\d+))?"
+)
+
+
+def _split_top(text: str) -> list[str]:
+    """The ", "-separated parts of text outside every parenthesis."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if depth == 0 and text.startswith(", ", i):
+            parts.append(text[start:i])
+            start = i + 2
+    return parts + [text[start:]]
+
+
+def chain_family(step, line: str) -> tuple[int, list]:
+    """The count that a text trace's ``instances:`` line states, and the
+    chains it describes, rebuilt from the step's target e, the contexts of
+    its removed criticals, and the links m and the first atoms of the line.
+
+    The contexts are the witnesses at e that contain e, sorted by their
+    canonical text; a word (i, ...) applied to e is context i with e
+    replaced by the rest of the word applied to e.  The chains run through
+    A(w e), A(w[1:] e), ..., A(e) for each word w of length m, in
+    lexicographic order, then from each first atom a through each word of
+    length m - 1 (a word's chains together); a repeated chain is dropped.
+    """
+    match = _FAMILY_LINE.fullmatch(line)
+    assert match, line
+    count, polarity, links, length, firsts, shorter = match.groups()
+    m = int(links)
+    assert int(length) == m and (shorter is None or int(shorter) == m - 1), line
+    e = step.target
+    witnesses = {r.witness for f in step.eliminated for r in recognize_critical(f) if r.critical_term == e}
+    contexts = sorted((w for w in witnesses if e in _all_terms(w)), key=canonical_text)
+
+    @functools.cache
+    def applied(word: tuple[int, ...]) -> Term:
+        return subst_term(contexts[word[0]], e, applied(word[1:])) if word else e
+
+    def path(word: tuple[int, ...]) -> list[Formula]:
+        return [instantiate(e.body, applied(word[i:])) for i in range(len(word) + 1)]
+
+    def words(n: int):
+        return itertools.product(range(len(contexts)), repeat=n)
+
+    atoms = [parse_formula(a) for a in _split_top(firsts)] if firsts else []
+    chains = [path(w) for w in words(m)] + [[a, *path(w)] for w in words(m - 1) for a in atoms]
+    return int(count), list(dict.fromkeys(Instance("Bm", polarity, tuple(c)) for c in chains))
 
 
 def chain_witness_judgment():

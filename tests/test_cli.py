@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,13 +8,16 @@ from pathlib import Path
 import pytest
 
 from epsitau import semantics
-from epsitau.cli import main
+from epsitau.cli import build_parser, main
+from epsitau.eliminate import run_elimination
 
 from helpers import (
+    chain_family,
     dump_judgment,
     grid_judgment,
     instance_formula,
     lc3_worked_judgment,
+    random_judgment,
     refutes,
     weak_lin_negative_judgment,
 )
@@ -374,13 +378,15 @@ def test_verified_run_decides_each_query_once_and_no_recorded_instance(
     monkeypatch.setattr(semantics, "decide", counting_decide)
     path = tmp_path / "run.judgment"
     path.write_text(dump_judgment(grid_judgment("lc3", 2)) if driver == "hb" else _weak_lin_text(6))
-    code, out, _ = run_cli(capsys, "eliminate", str(path), "--driver", driver, "--verify", "full")
+    argv = ["--format", "json", "eliminate", str(path), "--driver", driver, "--verify", "full"]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    recorded = {parse_formula(line.split(": ", 1)[1]) for line in out.splitlines() if line.startswith("  instance: ")}
-    steps = sum(line.startswith("step ") for line in out.splitlines())
+    # the JSON trace lists every member, a Bm step's chains included
+    steps = json.loads(out)["steps"]
+    recorded = {parse_formula(i) for st in steps for i in st["axiom_instances"]}
     # the input, then each step's criticals -> goal; the final result is the
     # last step's goal with no premises left, so it is not decided again
-    assert len(calls) == len(set(calls)) == 1 + steps
+    assert len(calls) == len(set(calls)) == 1 + len(steps)
     assert recorded and not recorded & {goal for _, goal in calls}
 
 
@@ -574,6 +580,17 @@ def test_eliminate_text_trace_matches_golden(capsys, tmp_path, golden, judgment,
     assert (code, out.encode(), err) == (0, expected, "")
 
 
+def _trace_blocks(text: str) -> list[list[str]]:
+    """The indented lines of each step of a text trace, in order."""
+    blocks: list[list[str]] = []
+    for line in text.splitlines():
+        if line.startswith("step "):
+            blocks.append([])
+        elif line.startswith("  "):
+            blocks[-1].append(line)
+    return blocks
+
+
 def _compound_matrix_judgment():
     """The lc3 grid cell with k = 2 for e = eps x. (A(x) & B(x)): its atoms are conjunctions."""
     e = "eps x. (A(x) & B(x))"
@@ -600,9 +617,100 @@ def test_instance_lines_print_as_their_formulas(capsys, tmp_path, monkeypatch, j
     assert outputs[0] == outputs[1]
     (code, text, err), (_, doc, _) = outputs[0]
     assert (code, err) == (0, "")
-    instances = [line[12:] for line in text.splitlines() if line.startswith("  instance: ")]
-    assert len(instances) >= 17
-    assert instances == [i for st in json.loads(doc)["steps"] for i in st["axiom_instances"]]
+    members = [st["axiom_instances"] for st in json.loads(doc)["steps"]]
+    assert sum(map(len, members)) >= 17
+    # the text trace prints a Bm step's chains as one family line, and
+    # every other step's instances one a line, as the JSON lists them
+    blocks = _trace_blocks(text)
+    assert len(blocks) == len(members)
+    families = 0
+    for block, listed in zip(blocks, members):
+        lines = [line[12:] for line in block if line.startswith("  instance: ")]
+        family = [line for line in block if line.startswith("  instances: ")]
+        if family:
+            assert lines == [] and len(family) == 1 and len(listed) > 1
+            families += 1
+        else:
+            assert lines == listed
+    assert 0 < families < len(members)
+
+
+def _family_polarities(capsys, tmp_path, j) -> list[str]:
+    """The polarity of each family line in j's text trace, after checking
+    that each line's chains, rebuilt from the line, are the step's records
+    and that its count is the number of the step's JSON members."""
+    path = tmp_path / "judgment.txt"
+    path.write_text(dump_judgment(j))
+    code, text, err = run_cli(capsys, "eliminate", str(path))
+    _, doc, _ = run_cli(capsys, "--format", "json", "eliminate", str(path))
+    steps = run_elimination(load_judgment(path.read_text())).steps
+    listed = [st["axiom_instances"] for st in json.loads(doc)["steps"]]
+    blocks = _trace_blocks(text)
+    assert (code, err) == (0, "") and len(blocks) == len(listed) == len(steps)
+    polarities = []
+    for st, block, members in zip(steps, blocks, listed):
+        family = [line for line in block if line.startswith("  instances: ")]
+        if st.axiom_instances_used[0].kind != "Bm":
+            assert family == []
+            continue
+        assert len(family) == 1 and not any(line.startswith("  instance: ") for line in block)
+        count, chains = chain_family(st, family[0])
+        assert count == len(st.axiom_instances_used) == len(members)
+        assert chains == list(st.axiom_instances_used)
+        polarities.append(st.axiom_instances_used[0].polarity)
+    return polarities
+
+
+@pytest.mark.parametrize(
+    "judgment",
+    [
+        *(lambda n=n, k=k: grid_judgment(f"lc{n}", k) for n in range(2, 7) for k in range(1, 5)),
+        lc3_worked_judgment,
+        _compound_matrix_judgment,
+    ],
+    ids=[*(f"grid-lc{n}-k{k}" for n in range(2, 7) for k in range(1, 5)), "lc3-worked", "compound-matrix"],
+)
+def test_family_line_rebuilds_the_step_chains(capsys, tmp_path, judgment):
+    assert _family_polarities(capsys, tmp_path, judgment()) == ["eps"]
+
+
+def test_family_lines_of_random_judgments_rebuild_their_chains(capsys, tmp_path):
+    rng = random.Random(11)
+    polarities = [
+        p for logic in (lcm(2), lcm(3), lcm(4)) for _ in range(15)
+        for p in _family_polarities(capsys, tmp_path, random_judgment(rng, logic, "hb"))
+    ]
+    assert {"eps", "tau"} <= set(polarities)
+
+
+def test_cached_parser_carries_no_state_between_calls(capsys, tmp_path, monkeypatch):
+    # one process runs the calls in a row, each as a fresh process would
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line at the terminal width
+    path = tmp_path / "chain.judgment"
+    path.write_text("logic: lc4\ngoal: (A1 -> A2) | (A2 -> A3) | (A3 -> A4)\n")
+    calls = [
+        ["--format", "json", "check", "--logic", "lc3", "A | ~A"],
+        ["check", "--logic", "lc3", "A | ~A"],
+        ["--budget", "5", "verify", str(path)],
+        ["check", "--logic"],
+        ["rank", "eps x. D(x, eps y. D(x, y))"],
+    ]
+    src = str(Path(semantics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    codes = []
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as ex:  # argparse rejects the argv
+            code = ex.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "epsitau", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [1, 1, 3, 2, 0]
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("goal, result", [("(A | B) | C", "A | B | C"), ("A | A", "A")])

@@ -200,7 +200,10 @@ def formulas(draw):
 @settings(max_examples=80, deadline=None)
 @given(terms(), terms())
 def test_alpha_is_equivalence(a, b):
-    assert a == a
+    # a copy rebuilt outside any sharing scope is a distinct object, so the
+    # structural compare runs and not the identity shortcut of __eq__
+    copy = pt(to_text(a))
+    assert copy is not a and copy == a and a == copy
     assert (a == b) == (b == a)
 
 
