@@ -13,19 +13,16 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .syntax import (
-    BINDERS,
     BINDER_TERMS,
     Bound,
     Eps,
     Formula,
     Implies,
-    Obj,
-    Tau,
     Term,
     Var,
-    abstract_var,
     canonical_text,
     dedup,
+    eps,
     etau_subterms,
     free_vars,
     fresh,
@@ -34,7 +31,9 @@ from .syntax import (
     locally_closed,
     match_holes,
     occurs,
+    tau,
     to_text,
+    transform,
 )
 
 
@@ -60,18 +59,10 @@ class CriticalFormula:
         return hole, instantiate(self.critical_term.body, Var(hole))
 
     @property
-    def at_witness(self) -> Formula:
-        return instantiate(self.critical_term.body, self.witness)
-
-    @property
-    def at_term(self) -> Formula:
-        return instantiate(self.critical_term.body, self.critical_term)
-
-    @property
     def rendered(self) -> Formula:
-        if self.kind == "eps":
-            return Implies(self.at_witness, self.at_term)
-        return Implies(self.at_term, self.at_witness)
+        e = self.critical_term
+        at_e, at_witness = instantiate(e.body, e), instantiate(e.body, self.witness)
+        return Implies(at_witness, at_e) if self.kind == "eps" else Implies(at_e, at_witness)
 
     def __str__(self) -> str:
         return f"[{self.kind}] {to_text(self.rendered)}"
@@ -83,50 +74,34 @@ def make_critical(matrix: Formula, hole: str, kind: str, witness: Term) -> Criti
         raise ValueError(f"kind must be 'eps' or 'tau', not {kind!r}")
     if not is_quantifier_free(matrix):
         raise ValueError(f"matrix must be quantifier-free: {to_text(matrix)}")
-    body = abstract_var(matrix, hole)
-    return CriticalFormula((Eps if kind == "eps" else Tau)(hole, body), witness)
+    return CriticalFormula((eps if kind == "eps" else tau)(hole, matrix), witness)
 
 
 def recognize_critical(phi: Formula) -> list[CriticalFormula]:
     """All readings of phi as a critical formula, in canonical order.
 
-    For each epsilon subterm e with body A, a reading requires the conclusion
-    to be A(e) and solves the premise for the witness (dually for tau, with
-    the premise fixed and the conclusion solved).  A formula whose matrix
-    ignores its bound variable reads with the critical term itself as the
-    canonical witness.
+    For each epsilon subterm e with body A, the pattern A(?hole) must match
+    the conclusion with the hole bound to e itself, and its match on the
+    premise gives the witness (dually for tau, with the premise fixed and
+    the conclusion solved).  A body that ignores its variable binds no
+    hole, so it admits no reading.
     """
     if not is_quantifier_free(phi):
         raise ValueError(f"expected a quantifier-free formula: {to_text(phi)}")
     if not isinstance(phi, Implies):
         return []
-    left, right = phi.left, phi.right
+    hole = "?hole"
     readings: list[CriticalFormula] = []
     for e in etau_subterms(phi):
-        body = e.body
-        if isinstance(e, Eps):
-            fixed, solved = right, left
-        else:
-            fixed, solved = left, right
-        if instantiate(body, e) != fixed:
-            continue
-        for witness in _solve_body(body, solved):
-            readings.append(CriticalFormula(e, witness))
-    readings.sort(
-        key=lambda c: (c.kind, canonical_text(c.critical_term), canonical_text(c.witness))
-    )
+        fixed, solved = (phi.right, phi.left) if isinstance(e, Eps) else (phi.left, phi.right)
+        pattern = instantiate(e.body, Var(hole))
+        at_e = match_holes(pattern, fixed, {hole})
+        if at_e and at_e[hole] == e:
+            at_witness = match_holes(pattern, solved, {hole})
+            if at_witness:
+                readings.append(CriticalFormula(e, at_witness[hole]))
+    readings.sort(key=lambda c: (c.kind, canonical_text(c.critical_term), canonical_text(c.witness)))
     return list(dedup(readings))
-
-
-def _solve_body(body: Formula, target: Formula) -> list[Term]:
-    """Terms t with instantiate(body, t) == target.
-
-    A body that ignores its variable matches with no binding for the hole,
-    so it admits no reading.
-    """
-    hole = "?hole"
-    m = match_holes(instantiate(body, Var(hole)), target, {hole})
-    return [m[hole]] if m else []
 
 
 def is_predicative(c: CriticalFormula) -> bool:
@@ -143,22 +118,6 @@ def is_weak(c: CriticalFormula, critical_terms_of_proof: Iterable[Term]) -> bool
 # Rank and degree
 
 
-def _has_ref(node: Obj, level: int) -> bool:
-    """Does node contain a bound index pointing `level` binders above it?"""
-    stack = [(node, level)]
-    while stack:
-        n, lvl = stack.pop()
-        if isinstance(n, Bound):
-            if n.index == lvl:
-                return True
-        elif locally_closed(n, lvl):
-            continue  # no index reaches that far out
-        else:
-            inner = lvl + 1 if isinstance(n, BINDERS) else lvl
-            stack += [(k, inner) for k in n._kids()]
-    return False
-
-
 def nested_subterms(e: Term) -> list[Term]:
     """Proper epsilon/tau subterm occurrences of e whose variables stay free.
 
@@ -171,18 +130,30 @@ def nested_subterms(e: Term) -> list[Term]:
 
 
 def subordinate_subterms(e: Term) -> list[Term]:
-    """Epsilon/tau occurrences inside e that use e's own bound variable."""
+    """Epsilon/tau occurrences inside e that use e's own bound variable.
+
+    One fold over e's body: an index equal to its depth there is e's
+    variable, a locally closed node holds none, and each epsilon/tau node
+    with such an index below it is kept.  The terms come in the fold's
+    post-order, inner ones before the terms around them, each once.
+    """
     if not isinstance(e, BINDER_TERMS):
         return []
-    out: list[Term] = []
-    stack = [(e.body, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, BINDER_TERMS) and _has_ref(node, depth) and node not in out:
-            out.append(node)
-        inner = depth + 1 if isinstance(node, BINDERS) else depth
-        stack += [(k, inner) for k in reversed(node._kids())]
-    return out
+    found: dict[Term, None] = {}
+
+    def leaf(node, depth):
+        if locally_closed(node, depth):
+            return False
+        return node.index == depth if isinstance(node, Bound) else None
+
+    def build(node, kids):
+        hit = any(kids)
+        if hit and isinstance(node, BINDER_TERMS):
+            found[node] = None
+        return hit
+
+    transform(e.body, leaf, build)
+    return list(found)
 
 
 def degree(e: Term) -> int:

@@ -12,7 +12,7 @@ count) measure decreases and the process stops.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from . import semantics
@@ -100,7 +100,6 @@ class FailureReport:
     target: Term
     formula: Formula
     reason: str
-    steps: tuple[EliminationStep, ...] = field(default=())
 
     def __str__(self) -> str:
         return (
@@ -384,7 +383,6 @@ def run_elimination(
                         target=e,
                         formula=offending[0],
                         reason="impredicative critical formula",
-                        steps=tuple(steps),
                     )
                 new_steps = [eliminate_predicative_lin(j, e)]
             elif driver == "jankov":
@@ -444,6 +442,8 @@ def reconstruct_from_herbrand(
         raise ValueError("skeleton variable names must not be empty")
     if len(set(holes)) != n:
         raise ValueError("skeleton variables must be distinct")
+    if contains_etau(skeleton):
+        raise ValueError(f"the skeleton must be epsilon/tau free: {to_text(skeleton)}")
     disjuncts = or_spine(disjunction)
     tuples: list[tuple[Term, ...]] = []
     for d in disjuncts:

@@ -490,7 +490,7 @@ def decide(
                     return Verdict(True)
             if not ok:
                 return Verdict(False, 2, counter)
-            wem = [Or(Not(a), Not(Not(a))) for a in prop_atoms(query)] if logic.kind == "kc" else []
+            wem = [schema("J", [a]) for a in prop_atoms(query)] if logic.kind == "kc" else []
             return Verdict(prove_H([*premises, *wem], goal))
         case "classical" | "lcm" | "lc":
             size = 2 if logic.kind == "classical" else logic.m or lc_chain_size(query)

@@ -23,6 +23,9 @@ along a long disjunction: transform goes bottom-up and rewrites a node or
 folds it into a value from its children's, and _nodes visits in pre-order.
 One walk substitutes a term by many: subst_each folds once to list the
 nodes above the term's occurrences, then rebuilds only those per term.
+The critical-formula module reads terms through the same tools: it
+recognizes a reading with one match_holes pattern per candidate term, and
+finds a term's subordinates in one transform fold over its body.
 The printer, too, renders each shared term and atom once: within one
 ``to_text`` call, or within one output whose caller passes the same text
 memo to every call.  That memo is keyed by the printed formula's free

@@ -18,11 +18,13 @@ import itertools
 import random
 import re
 
-from epsitau.critical import make_critical, recognize_critical
+from epsitau.critical import CriticalFormula, make_critical, recognize_critical
 from epsitau.judgments import CLASSICAL, Judgment, make_judgment
 from epsitau.parser import parse_formula
 from epsitau.semantics import Instance, schema
 from epsitau.syntax import (
+    BINDER_TERMS,
+    BINDERS,
     And,
     App,
     Atom,
@@ -43,9 +45,13 @@ from epsitau.syntax import (
     abstract_var,
     and_join,
     canonical_text,
+    dedup,
+    etau_subterms,
     exists,
     forall,
     instantiate,
+    locally_closed,
+    match_holes,
     or_spine,
     subst_term,
     subst_var,
@@ -792,6 +798,73 @@ def chain_family(step, line: str) -> tuple[int, list]:
     atoms = [parse_formula(a) for a in _split_top(firsts)] if firsts else []
     chains = [path(w) for w in words(m)] + [[a, *path(w)] for w in words(m - 1) for a in atoms]
     return int(count), list(dict.fromkeys(Instance("Bm", polarity, tuple(c)) for c in chains))
+
+
+# ---------------------------------------------------------------------------
+# Reference readings and subordinates, by the direct algorithms
+
+
+def solved_readings(phi: Formula) -> list[CriticalFormula]:
+    """recognize_critical by instantiating each body at its term, comparing
+    that with the fixed side, then solving the other side for the witness."""
+    if not isinstance(phi, Implies):
+        return []
+    readings = []
+    for e in etau_subterms(phi):
+        fixed, solved = (phi.right, phi.left) if isinstance(e, Eps) else (phi.left, phi.right)
+        if instantiate(e.body, e) != fixed:
+            continue
+        m = match_holes(instantiate(e.body, Var("?hole")), solved, {"?hole"})
+        if m:
+            readings.append(CriticalFormula(e, m["?hole"]))
+    readings.sort(key=lambda c: (c.kind, canonical_text(c.critical_term), canonical_text(c.witness)))
+    return list(dedup(readings))
+
+
+def has_ref(node, level: int) -> bool:
+    """Does node hold a bound index pointing ``level`` binders above it?"""
+    stack = [(node, level)]
+    while stack:
+        n, lvl = stack.pop()
+        if isinstance(n, Bound):
+            if n.index == lvl:
+                return True
+        elif not locally_closed(n, lvl):
+            inner = lvl + 1 if isinstance(n, BINDERS) else lvl
+            stack += [(k, inner) for k in n._kids()]
+    return False
+
+
+def walked_subordinates(e: Term) -> list[Term]:
+    """The epsilon/tau nodes of e's body that use e's variable, found by a
+    has_ref walk from each of them, in pre-order."""
+    out: list[Term] = []
+    stack = [(e.body, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, BINDER_TERMS) and has_ref(node, depth) and node not in out:
+            out.append(node)
+        inner = depth + 1 if isinstance(node, BINDERS) else depth
+        stack += [(k, inner) for k in reversed(node._kids())]
+    return out
+
+
+def walked_rank(e: Term, memo: dict | None = None) -> int:
+    """rank(e) over walked_subordinates, each distinct term ranked once."""
+    memo = {} if memo is None else memo
+    if e not in memo:
+        memo[e] = 1 + max((walked_rank(u, memo) for u in walked_subordinates(e)), default=0)
+    return memo[e]
+
+
+def dependent_tower(d: int) -> str:
+    """eps x1. A(x1, eps x2. A(x1, x2, ...)), d terms deep: every inner term
+    uses every outer variable, so the rank is d and the degree 1."""
+    xs = [f"x{i}" for i in range(1, d + 1)]
+    text = ""
+    for j in range(d, 0, -1):
+        text = f"eps x{j}. A({', '.join(xs[:j] + ([text] if text else []))})"
+    return text
 
 
 def chain_witness_judgment():

@@ -267,6 +267,15 @@ def test_reconstruct_checks_the_variable_names_before_matching(capsys, names, me
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_reconstruct_refuses_a_skeleton_with_an_epsilon_term(capsys):
+    # the replay would ground the skeleton's own term as a residue and print
+    # P(a, c_1) | P(b, c_1), which is not the input
+    code, out, err = run_cli(
+        capsys, "reconstruct", "P(a, eps z. Q(z)) | P(b, eps z. Q(z))", "--skeleton", "P(x, eps z. Q(z))", "--vars", "x"
+    )
+    assert (code, out, err) == (2, "", "error: the skeleton must be epsilon/tau free: P(x, eps z. Q(z))\n")
+
+
 def test_reconstruct_renames_holes_apart_from_the_free_variables(capsys):
     # x and y are free in the disjunction, so the holes print as x' and y'
     # (y'' where y' is already bound)

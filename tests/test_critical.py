@@ -15,14 +15,33 @@ from epsitau.critical import (
 )
 from epsitau.parser import parse_formula as pf, parse_term as pt
 from epsitau.syntax import (
+    Atom,
+    Eps,
+    Exists,
+    Forall,
+    Implies,
+    Tau,
     canonical_text,
+    contains_etau,
+    eps,
+    exists,
+    forall,
     occurs,
     subst_term,
     subst_var,
+    tau,
     to_text,
 )
 
-from helpers import random_matrix, random_term
+from helpers import (
+    dependent_tower,
+    random_formula,
+    random_matrix,
+    random_term,
+    solved_readings,
+    walked_rank,
+    walked_subordinates,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +140,38 @@ def test_recognize_degenerate_matrix():
     assert recognize_critical(c.rendered) == []
 
 
+def _random_implication(rng):
+    """A seeded implication that may read as a critical formula, and whether
+    its candidate term's body ignores the bound variable."""
+    kind = rng.choice(("eps", "tau"))
+    witness = random_term(rng, 2, [])
+    if rng.random() < 0.4:  # a cross-term reading: another critical term as the witness
+        witness = make_critical(random_matrix(rng, 1, "y"), "y", rng.choice(("eps", "tau")), witness).critical_term
+    if rng.random() < 0.2:  # a body that ignores its variable
+        body = random_formula(rng, 2, [])
+        e = (Eps if kind == "eps" else Tau)("x", body)
+        at_e = Atom("P", (e,))
+        return rng.choice((Implies(at_e, body), Implies(body, at_e), Implies(body, Implies(body, at_e)))), True
+    phi = make_critical(random_matrix(rng, 2, "x"), "x", kind, witness).rendered
+    if rng.random() < 0.3:  # swap the sides, mostly breaking the reading
+        phi = Implies(phi.right, phi.left)
+    return phi, False
+
+
+def test_recognize_agrees_with_instantiate_compare_then_match():
+    rng = random.Random(37)
+    seen = {"tau": 0, "cross": 0, "vacuous": 0, "none": 0}
+    for _ in range(400):
+        phi, vacuous = _random_implication(rng)
+        readings = recognize_critical(phi)
+        assert readings == solved_readings(phi), to_text(phi)
+        seen["tau"] += any(r.kind == "tau" for r in readings)
+        seen["cross"] += any(contains_etau(r.witness) for r in readings)
+        seen["none"] += not readings
+        seen["vacuous"] += vacuous
+    assert min(seen.values()) >= 10, seen
+
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -203,6 +254,53 @@ def test_rank_counts_quantifiers_between_a_term_and_its_subordinate():
     assert rank(pt("tau x. ex y. A(eps z. P(x, z))")) == 2
     assert rank(pt("eps x. all y. A(eps z. P(y, z))")) == 1  # z's term uses y, not x
     assert len(subordinate_subterms(pt("eps x. all y. A(eps z. P(x, z))"))) == 1
+
+
+def _random_binder_term(rng, depth, outer):
+    """A seeded epsilon/tau term over the outer variables, with an inner
+    term in its body that may use its variable, often under all/ex."""
+    x = f"x{len(outer)}"
+    scope = [*outer, x]
+    quantified = rng.random() < 0.5
+    if quantified:
+        scope.append(f"y{len(outer)}")
+    args = [random_term(rng, 1, scope) for _ in range(rng.randint(0, 2))]
+    if depth > 1 and rng.random() < 0.8:
+        args.insert(rng.randint(0, len(args)), _random_binder_term(rng, depth - 1, scope))
+    body = Atom(rng.choice("PQR"), tuple(args))
+    if rng.random() < 0.3:
+        body = Implies(random_formula(rng, 1, scope), body)
+    if quantified:
+        body = rng.choice((forall, exists))(scope[-1], body)
+    return rng.choice((eps, tau))(x, body)
+
+
+def test_subordinates_and_rank_agree_with_the_walk():
+    rng = random.Random(41)
+    compared = under_quantifier = deep = 0
+    while compared < 240:
+        e = _random_binder_term(rng, 4, []) if rng.random() < 0.7 else random_term(rng, 4, [])
+        if not isinstance(e, (Eps, Tau)):
+            continue
+        subs = subordinate_subterms(e)
+        assert len(subs) == len(set(subs))
+        assert set(subs) == set(walked_subordinates(e)), to_text(e)
+        assert rank(e) == walked_rank(e), to_text(e)
+        compared += 1
+        under_quantifier += bool(subs) and isinstance(e.body, (Forall, Exists))
+        deep += rank(e) >= 3
+    assert under_quantifier >= 20 and deep >= 10, (under_quantifier, deep)
+
+
+def test_subordinates_come_inner_first():
+    e = pt("eps x. A(eps y. B(x, eps z. C(x, y, z)))")
+    inner, outer = subordinate_subterms(e)
+    assert occurs(inner, outer) and not occurs(outer, inner)
+
+
+def test_dependent_tower_of_60_has_rank_60_and_degree_1():
+    e = pt(dependent_tower(60))
+    assert (rank(e), degree(e)) == (60, 1)
 
 
 def test_rank_rejects_non_binder():
