@@ -322,7 +322,8 @@ def _finish(j: Judgment, steps: list[EliminationStep], taken: set[str]) -> Elimi
         name = fresh_numbered("c", taken)
         goal = subst_term(goal, residuals[0], App(name, ()))
         grounding.append((residuals[0], name))
-    result = or_join(dedup(or_spine(goal)))
+    # A step's goal is already its deduplicated disjuncts joined (_expand).
+    result = goal if steps and not grounding else or_join(dedup(or_spine(goal)))
     if contains_etau(result):
         raise EliminationError("grounding left an epsilon/tau term behind")
     return EliminationTrace(tuple(steps), result, tuple(grounding))

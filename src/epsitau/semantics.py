@@ -366,32 +366,42 @@ _sequent_cache: dict[tuple[frozenset, Formula], bool] = {}
 
 
 def _prove(gamma: frozenset[Formula], goal: Formula) -> bool:
-    if BOT in gamma or goal == TOP or goal in gamma:
+    if BOT in gamma or goal is TOP or goal in gamma:
         return True
     key = (gamma, goal)
     result = _sequent_cache.get(key)
     if result is not None:
         return result
-    # Invertible left rules: the first that applies decides the sequent.
+    # One pass over gamma picks a rule by the class of the premise and of an
+    # implication's antecedent: the first invertible left rule decides the
+    # sequent, and the (c -> d) -> b branch points before it are collected.
+    branches = []
     for f in gamma:
-        match f:
-            case Top() | Implies(Bot(), _):
+        t = type(f)
+        if t is Implies:
+            c, b = f.left, f.right
+            t = type(c)
+            if t is Bot:
                 result = _prove(gamma - {f}, goal)
-            case And(a, b):
-                result = _prove(gamma - {f} | {a, b}, goal)
-            case Or():
-                rest = gamma - {f}
-                result = all(_prove(rest | {d}, goal) for d in or_spine(f))
-            case Implies(Top(), b):
+            elif t is Top or (t is Atom and c in gamma):
                 result = _prove(gamma - {f} | {b}, goal)
-            case Implies(And(c, d), b):
-                result = _prove(gamma - {f} | {Implies(c, Implies(d, b))}, goal)
-            case Implies(Or() as c, b):
+            elif t is And:
+                result = _prove(gamma - {f} | {Implies(c.left, Implies(c.right, b))}, goal)
+            elif t is Or:
                 result = _prove(gamma - {f} | {Implies(d, b) for d in or_spine(c)}, goal)
-            case Implies(Atom() as p, b) if p in gamma:
-                result = _prove(gamma - {f} | {b}, goal)
-            case _:
+            else:
+                if t is Implies:
+                    branches.append(f)
                 continue
+        elif t is And:
+            result = _prove(gamma - {f} | {f.left, f.right}, goal)
+        elif t is Or:
+            rest = gamma - {f}
+            result = all(_prove(rest | {d}, goal) for d in or_spine(f))
+        elif t is Top:
+            result = _prove(gamma - {f}, goal)
+        else:
+            continue
         break
     else:
         match goal:
@@ -403,15 +413,12 @@ def _prove(gamma: frozenset[Formula], goal: Formula) -> bool:
             # Branch points: right disjunction and implication-antecedent implications.
             case _:
                 result = isinstance(goal, Or) and any(_prove(gamma, d) for d in or_spine(goal))
-                for f in gamma:
+                for f in branches:
                     if result:
                         break
-                    match f:
-                        case Implies(Implies(c, d), b):
-                            rest = gamma - {f}
-                            result = _prove(rest | {Implies(d, b)}, Implies(c, d)) and _prove(
-                                rest | {b}, goal
-                            )
+                    cd, b = f.left, f.right
+                    rest = gamma - {f}
+                    result = _prove(rest | {Implies(cd.right, b)}, cd) and _prove(rest | {b}, goal)
     _sequent_cache[key] = result
     return result
 

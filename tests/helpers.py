@@ -7,7 +7,11 @@ formulas by brute force, the Kripke checker forces formulas in every
 small rooted model, the schema matchers compare shapes structurally, and
 the atom renaming tells alpha-classes apart by their printed form.  The
 Godel and Kripke validity checks take every valuation at once on bit sets;
-the per-valuation evaluators are their reference in the tests.
+the per-valuation evaluators are their reference in the tests.  The
+reference algorithms at the end keep the package's replaced ones: critical
+readings by instantiate-and-compare, subordinates by a stack walk, and the
+prover's search by structural match, which normalizes its input with
+semantics._norm so that it visits the same sequents as prove_H.
 """
 
 from __future__ import annotations
@@ -17,14 +21,17 @@ import functools
 import itertools
 import random
 import re
+from typing import Iterable
 
 from epsitau.critical import CriticalFormula, make_critical, recognize_critical
 from epsitau.judgments import CLASSICAL, Judgment, make_judgment
 from epsitau.parser import parse_formula
-from epsitau.semantics import Instance, schema
+from epsitau.semantics import Instance, _norm, schema
 from epsitau.syntax import (
     BINDER_TERMS,
     BINDERS,
+    BOT,
+    TOP,
     And,
     App,
     Atom,
@@ -46,6 +53,7 @@ from epsitau.syntax import (
     and_join,
     canonical_text,
     dedup,
+    eps,
     etau_subterms,
     exists,
     forall,
@@ -53,8 +61,10 @@ from epsitau.syntax import (
     locally_closed,
     match_holes,
     or_spine,
+    sharing,
     subst_term,
     subst_var,
+    tau,
     to_text,
 )
 
@@ -582,6 +592,28 @@ def random_matrix(rng: random.Random, depth: int, hole: str) -> Formula:
     return Atom("P", (Var(hole),))
 
 
+def random_binder_term(rng: random.Random, depth: int, outer: list[str], quantifiers: bool = True) -> Term:
+    """A seeded epsilon/tau term over the outer variables, with an inner
+    term in its body that may use its variable, often under all/ex (never
+    with ``quantifiers`` off).  Unlike random_term, it reaches rank 3 and 4
+    at depth 4."""
+    x = f"x{len(outer)}"
+    scope = [*outer, x]
+    quantified = quantifiers and rng.random() < 0.5
+    if quantified:
+        scope.append(f"y{len(outer)}")
+    args = [random_term(rng, 1, scope) for _ in range(rng.randint(0, 2))]
+    if depth > 1 and rng.random() < 0.8:
+        inner = random_binder_term(rng, depth - 1, scope, quantifiers)
+        args.insert(rng.randint(0, len(args)), inner)
+    body = Atom(rng.choice("PQR"), tuple(args))
+    if rng.random() < 0.3:
+        body = Implies(random_formula(rng, 1, scope), body)
+    if quantified:
+        body = rng.choice((forall, exists))(scope[-1], body)
+    return rng.choice((eps, tau))(x, body)
+
+
 def subterms(obj):
     """The term-sort nodes of obj (obj itself if it is a term), each once."""
     return (n for n in _nodes(obj) if isinstance(n, Term))
@@ -865,6 +897,72 @@ def dependent_tower(d: int) -> str:
     for j in range(d, 0, -1):
         text = f"eps x{j}. A({', '.join(xs[:j] + ([text] if text else []))})"
     return text
+
+
+# ---------------------------------------------------------------------------
+# Reference prover: the G4ip search picking its left rule by structural match
+
+
+def matched_prove(premises: Iterable[Formula], goal: Formula) -> tuple[bool, int]:
+    """prove_H by a match statement per premise, one scan for an invertible
+    left rule and another for the (c -> d) -> b branch points: the answer and
+    the number of sequents the search visited.  It reads the premises and
+    goal through semantics._norm, so that it searches the same sequents."""
+    memo: dict = {}
+    calls = 0
+
+    def prove(gamma: frozenset, goal: Formula) -> bool:
+        nonlocal calls
+        calls += 1
+        if BOT in gamma or goal == TOP or goal in gamma:
+            return True
+        key = (gamma, goal)
+        result = memo.get(key)
+        if result is not None:
+            return result
+        for f in gamma:
+            match f:
+                case Top() | Implies(Bot(), _):
+                    result = prove(gamma - {f}, goal)
+                case And(a, b):
+                    result = prove(gamma - {f} | {a, b}, goal)
+                case Or():
+                    rest = gamma - {f}
+                    result = all(prove(rest | {d}, goal) for d in or_spine(f))
+                case Implies(Top(), b):
+                    result = prove(gamma - {f} | {b}, goal)
+                case Implies(And(c, d), b):
+                    result = prove(gamma - {f} | {Implies(c, Implies(d, b))}, goal)
+                case Implies(Or() as c, b):
+                    result = prove(gamma - {f} | {Implies(d, b) for d in or_spine(c)}, goal)
+                case Implies(Atom() as p, b) if p in gamma:
+                    result = prove(gamma - {f} | {b}, goal)
+                case _:
+                    continue
+            break
+        else:
+            match goal:
+                case And(a, b):
+                    result = prove(gamma, a) and prove(gamma, b)
+                case Implies(a, b):
+                    result = prove(gamma | {a}, b)
+                case _:
+                    result = isinstance(goal, Or) and any(prove(gamma, d) for d in or_spine(goal))
+                    for f in gamma:
+                        if result:
+                            break
+                        match f:
+                            case Implies(Implies(c, d), b):
+                                rest = gamma - {f}
+                                result = prove(rest | {Implies(d, b)}, Implies(c, d)) and prove(
+                                    rest | {b}, goal
+                                )
+        memo[key] = result
+        return result
+
+    with sharing():
+        answer = prove(frozenset(_norm(p) for p in premises), _norm(goal))
+    return answer, calls
 
 
 def chain_witness_judgment():

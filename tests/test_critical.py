@@ -15,6 +15,8 @@ from epsitau.critical import (
 )
 from epsitau.parser import parse_formula as pf, parse_term as pt
 from epsitau.syntax import (
+    And,
+    App,
     Atom,
     Eps,
     Exists,
@@ -23,18 +25,16 @@ from epsitau.syntax import (
     Tau,
     canonical_text,
     contains_etau,
-    eps,
-    exists,
-    forall,
+    free_vars,
     occurs,
     subst_term,
     subst_var,
-    tau,
     to_text,
 )
 
 from helpers import (
     dependent_tower,
+    random_binder_term,
     random_formula,
     random_matrix,
     random_term,
@@ -256,30 +256,11 @@ def test_rank_counts_quantifiers_between_a_term_and_its_subordinate():
     assert len(subordinate_subterms(pt("eps x. all y. A(eps z. P(x, z))"))) == 1
 
 
-def _random_binder_term(rng, depth, outer):
-    """A seeded epsilon/tau term over the outer variables, with an inner
-    term in its body that may use its variable, often under all/ex."""
-    x = f"x{len(outer)}"
-    scope = [*outer, x]
-    quantified = rng.random() < 0.5
-    if quantified:
-        scope.append(f"y{len(outer)}")
-    args = [random_term(rng, 1, scope) for _ in range(rng.randint(0, 2))]
-    if depth > 1 and rng.random() < 0.8:
-        args.insert(rng.randint(0, len(args)), _random_binder_term(rng, depth - 1, scope))
-    body = Atom(rng.choice("PQR"), tuple(args))
-    if rng.random() < 0.3:
-        body = Implies(random_formula(rng, 1, scope), body)
-    if quantified:
-        body = rng.choice((forall, exists))(scope[-1], body)
-    return rng.choice((eps, tau))(x, body)
-
-
 def test_subordinates_and_rank_agree_with_the_walk():
     rng = random.Random(41)
     compared = under_quantifier = deep = 0
     while compared < 240:
-        e = _random_binder_term(rng, 4, []) if rng.random() < 0.7 else random_term(rng, 4, [])
+        e = random_binder_term(rng, 4, []) if rng.random() < 0.7 else random_term(rng, 4, [])
         if not isinstance(e, (Eps, Tau)):
             continue
         subs = subordinate_subterms(e)
@@ -310,12 +291,13 @@ def test_rank_rejects_non_binder():
 
 def test_rank_invariant_under_substitution():
     rng = random.Random(13)
-    for _ in range(60):
-        matrix = random_matrix(rng, 2, "x")
-        extra = subst_var(matrix, "x", pt("h(x, v)"))
-        e = make_critical(extra, "x", "eps", pt("c")).critical_term
+    deep = 0
+    for _ in range(300):
+        e = random_binder_term(rng, 4, ["v"])
         inst = subst_var(e, "v", random_term(rng, 2, []))
-        assert rank(inst) == rank(e)
+        assert rank(inst) == rank(e), to_text(e)
+        deep += rank(e) >= 3 and "v" in free_vars(e)
+    assert deep >= 10, deep
 
 
 def test_select_max_prefers_rank_then_degree():
@@ -352,7 +334,7 @@ def _random_critical_not_for(rng, e):
         matrix = subst_var(matrix, "x", pt("k(x)"))  # keep x present
     witness = random_term(rng, 2, [])
     if rng.random() < 0.5:
-        witness = subst_term(witness, pt("a"), e)
+        witness = App("k", (witness, e))
     return make_critical(matrix, "x", "eps", witness)
 
 
@@ -374,9 +356,9 @@ def test_replacement_preserves_criticality():
 
 def test_replacement_does_not_raise_measure():
     rng = random.Random(22)
-    checked = 0
-    while checked < 80:
-        e = pt("eps w. W(w, eps q. V(q))")  # rank 1, degree 2
+    checked = deep = 0
+    while checked < 300:
+        e = random_binder_term(rng, 4, [])
         c = _random_critical_not_for(rng, e)
         ct = c.critical_term
         if ct == e:
@@ -392,12 +374,18 @@ def test_replacement_does_not_raise_measure():
             (rank(nt), degree(nt)) <= (rank(e), degree(e)) for nt in new_terms
         )
         checked += 1
+        deep += rank(e) >= 3 and occurs(e, c.rendered)
+    assert deep >= 10, deep
 
 
 def test_measures_of_critical_terms_positive():
     rng = random.Random(31)
+    deep = 0
     for _ in range(60):
-        matrix = random_matrix(rng, 2, "x")
-        c = make_critical(matrix, "x", "eps", random_term(rng, 2, []))
+        inner = random_binder_term(rng, 3, ["x"], quantifiers=False)
+        matrix = And(random_matrix(rng, 2, "x"), Atom("D", (inner,)))
+        c = make_critical(matrix, "x", rng.choice(("eps", "tau")), random_term(rng, 2, []))
         assert rank(c.critical_term) >= 1
         assert degree(c.critical_term) >= 1
+        deep += rank(c.critical_term) >= 3
+    assert deep >= 10, deep

@@ -40,6 +40,7 @@ from helpers import (
     is_weak_em_instance,
     kripke_valid,
     letter_atoms,
+    matched_prove,
     random_prop_formula,
     random_qf_formula,
     refutes,
@@ -256,6 +257,54 @@ def test_prover_memo_is_scoped_to_one_query():
     assert semantics._sequent_cache == {}
     assert not prove_H([], pf("((A -> B) -> A) -> A"))
     assert semantics._sequent_cache == {}
+
+
+def _random_premise(rng, atoms) -> tuple[str, object]:
+    """A premise of one of the shapes the prover's left rules tell apart."""
+    def part():
+        return random_qf_formula(rng, 1, atoms)
+
+    match rng.choice(["any", "branch", "antecedent", "wem", "atom"]):
+        case "branch":
+            return "branch", Implies(Implies(part(), part()), part())
+        case "antecedent":
+            head = rng.choice([Top(), Bot(), And(part(), part()), Or(part(), part())])
+            return type(head).__name__, Implies(head, part())
+        case "wem":
+            return "wem", schema("J", [rng.choice(atoms)])
+        case "atom":
+            return "atom", rng.choice(atoms)
+    return "any", random_qf_formula(rng, 2, atoms)
+
+
+def test_prover_visits_the_sequents_of_the_matched_search(monkeypatch):
+    calls = 0
+    search = semantics._prove
+
+    def counted(gamma, goal):
+        nonlocal calls
+        calls += 1
+        return search(gamma, goal)
+
+    monkeypatch.setattr(semantics, "_prove", counted)
+    rng = random.Random(38)
+    atoms = [Atom(a, ()) for a in "pqr"]
+    kinds, answers = {}, {True: 0, False: 0}
+    for _ in range(400):
+        drawn = [_random_premise(rng, atoms) for _ in range(rng.randint(1, 4))]
+        premises = [f for _, f in drawn]
+        goal = random_qf_formula(rng, rng.randint(1, 3), atoms)
+        calls = 0
+        answer = prove_H(premises, goal)
+        expected = matched_prove(premises, goal)
+        assert (answer, calls) == expected, (list(map(to_text, premises)), to_text(goal))
+        assert semantics._sequent_cache == {}
+        answers[answer] += 1
+        for kind, _ in drawn:
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(answers.values()) >= 50, answers
+    assert set(kinds) == {"any", "branch", "Top", "Bot", "And", "Or", "wem", "atom"}
+    assert min(kinds.values()) >= 25, kinds
 
 
 def test_prover_sound_for_chains():
