@@ -68,14 +68,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict else EXIT_INVALID
 
 
-def _chain_family(st: elim.EliminationStep, memo: dict) -> str:
+def _chain_family(family: elim.ChainFamily, memo: dict) -> str:
     """A Bm step's chains as eliminate_impredicative_Bm makes them: through
-    each word of length m over the contexts, then from each first atom."""
-    insts = st.axiom_instances_used
-    m = insts[0].arity
-    line = f"{len(insts)} Bm {insts[0].polarity} chains of {m} links, through each word of length {m}"
-    if st.chain_firsts:
-        atoms = ", ".join(to_text(a, memo) for a in st.chain_firsts)
+    each word of length m over the contexts, then from each first atom; no
+    member is built."""
+    m = family.m
+    line = f"{len(family)} Bm {family.polarity} chains of {m} links, through each word of length {m}"
+    if family.firsts:
+        atoms = ", ".join(to_text(a, memo) for a in family.firsts)
         line += f" and from {atoms} through each word of length {m - 1}"
     return line
 
@@ -88,8 +88,8 @@ def _trace_lines(trace: elim.EliminationTrace) -> Iterator[str]:
         for f in st.eliminated:
             yield f"  removed: {to_text(f, memo)}"
         insts = st.axiom_instances_used
-        if insts[0].kind == "Bm":  # JSON lists the members; one schema row certifies them all
-            yield f"  instances: {_chain_family(st, memo)}"
+        if isinstance(insts, elim.ChainFamily):  # JSON lists the members; one schema row certifies them all
+            yield f"  instances: {_chain_family(insts, memo)}"
         else:
             for inst in insts:
                 yield f"  instance: {inst.text(memo)}"
@@ -256,6 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.budget < 0:
+        ap.error(f"argument --budget: must be at least 0, not {args.budget}")
     try:
         return args.fn(args)
     except BudgetExceededError as ex:

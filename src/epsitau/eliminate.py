@@ -4,15 +4,16 @@ Each elimination replaces one epsilon/tau term by a set of terms, disjoining
 the goal over the set and substituting through the remaining premises, at
 the cost of recording instances of the logic's characteristic schema.  The
 step keeps them as semantics.Instance records, certified by their schema
-table row; the judgment after it has none.  The driver takes terms of
-maximal degree among those of maximal rank first, so the (rank, degree,
-count) measure decreases and the process stops.
+table row (a chain step's as a ChainFamily, built only when listed); the
+judgment after it has none.  The driver takes terms of maximal degree
+among those of maximal rank first, so the (rank, degree, count) measure
+decreases and the process stops.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import semantics
@@ -56,6 +57,7 @@ from .syntax import (
 
 __all__ = [
     "DRIVERS",
+    "ChainFamily",
     "EliminationError",
     "EliminationStep",
     "EliminationTrace",
@@ -81,10 +83,9 @@ class EliminationStep:
     target: Term
     eliminated: tuple[Formula, ...]
     elimination_set: tuple[Term, ...]
-    axiom_instances_used: tuple[semantics.Instance, ...]
+    axiom_instances_used: Sequence[semantics.Instance]  # a tuple, or a Bm step's ChainFamily
     after: Judgment
     raw_disjunct_count: int
-    chain_firsts: tuple[Formula, ...] = ()  # a Bm step's predicative first atoms A(u)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +159,7 @@ def _step(
     e: Term,
     kind: str,
     refusal: str,
-    schema: Callable[[list[Term], list[Formula]], tuple[Sequence[Term], list[list[Formula]]]],
+    schema: Callable[[list[Term], list[Formula]], tuple[Sequence[Term], list[list[Formula]] | ChainFamily]],
     take: Callable[[CriticalFormula], bool] = lambda r: True,
 ) -> EliminationStep:
     """The elimination skeleton every step constructor is built on.
@@ -167,21 +168,26 @@ def _step(
     kept as premises unchanged; an e with nothing to eliminate is rejected.
     ``schema`` maps the witnesses w of the eliminated readings and their
     atoms A(w) to the elimination set and the atom lists of the instances to
-    record.  Each is recorded as semantics.Instance(kind, polarity, atoms),
-    with e's polarity, and certified by the row semantics.proves(logic,
-    kind, arity) of the schema table; a logic the row refuses raises
-    ValueError(refusal).  The goal is disjoined over the set, and the
-    premises that are not readings at e are substituted across it.
+    record, each as semantics.Instance(kind, polarity, atoms) with e's
+    polarity, or a chain step's ChainFamily.  They are certified by the row
+    semantics.proves(logic, kind, arity) of the schema table, the family by
+    its links m; a logic the row refuses raises ValueError(refusal).  The
+    goal is disjoined over the set, and the premises that are not readings
+    at e are substituted across it.
     """
     readings = judgment_readings(j).get(e, [])
     taken = [(f, r) for f, r in readings if take(r)]
     if not taken:
         raise ValueError(f"no critical formulas of {to_text(e)} to eliminate")
     ws = _witnesses(taken)
-    elim_set, atom_lists = schema(ws, [instantiate(e.body, w) for w in ws])
-    polarity = "eps" if isinstance(e, Eps) else "tau"
-    instances = dedup(semantics.Instance(kind, polarity, tuple(xs)) for xs in atom_lists)
-    if not all(semantics.proves(j.logic, kind, n) for n in {i.arity for i in instances}):
+    elim_set, recorded = schema(ws, [instantiate(e.body, w) for w in ws])
+    if isinstance(recorded, ChainFamily):
+        instances, arities = recorded, {recorded.m}
+    else:
+        polarity = "eps" if isinstance(e, Eps) else "tau"
+        instances = dedup(semantics.Instance(kind, polarity, tuple(xs)) for xs in recorded)
+        arities = {i.arity for i in instances}
+    if not all(semantics.proves(j.logic, kind, n) for n in arities):
         raise ValueError(refusal)
     at_e = {f for f, _ in readings}
     rest = [f for f in j.criticals if f not in at_e]
@@ -253,14 +259,49 @@ def _word_paths(words: dict[tuple[int, ...], Formula], length: int) -> list[list
     ]
 
 
+@dataclass(frozen=True, slots=True)
+class ChainFamily(Sequence[semantics.Instance]):
+    """A chain step's m-link chains, built once, when first iterated or indexed.
+
+    In _words' order, the chain A(w e), ..., A(e) through each word w of length
+    m over the k contexts, then through each word of length m - 1, one from
+    each first atom.  None repeats (README, Text trace): k^m + |firsts| k^(m-1).
+    """
+
+    e: Term
+    contexts: tuple[Term, ...]
+    m: int
+    firsts: tuple[Formula, ...]
+    polarity: str
+    chains: tuple[semantics.Instance, ...] | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __len__(self) -> int:
+        k = len(self.contexts)
+        return k**self.m + len(self.firsts) * k ** (self.m - 1)
+
+    def __getitem__(self, i):  # Sequence iterates by index
+        if self.chains is None:
+            object.__setattr__(self, "chains", self._expand())
+        return self.chains[i]
+
+    def _expand(self) -> tuple[semantics.Instance, ...]:
+        e, m = self.e, self.m
+        with sharing():
+            words = _words(e, self.contexts, m)
+            h = Var(fresh("h", names(e)))  # A(w e) for each word w is A(h) at the locally closed w e
+            atoms = dict(zip(words, subst_each(instantiate(e.body, h), h, words.values())))
+            paths = _word_paths(atoms, m) + [[a] + p for p in _word_paths(atoms, m - 1) for a in self.firsts]
+            return dedup(semantics.Instance("Bm", self.polarity, tuple(p)) for p in paths)
+
+
 def eliminate_impredicative_Bm(j: Judgment, e: Term, m: int) -> EliminationStep:
     """Eliminate the impredicative critical formulas of e using the m-link chains.
 
     The witnesses' contexts are iterated into words of length < m; the goal
-    is disjoined over every word applied to e, the predicative premises stay,
-    and the recorded instances are the m-link chains through the length-m
-    words, and from each predicative witness u through the length-(m-1)
-    words; the step keeps their first atoms A(u) as chain_firsts.
+    is disjoined over every word applied to e, the predicative premises
+    stay, and the step records, unbuilt, the ChainFamily of the m-link chains
+    through the length-m words, and from each predicative A(u) through the
+    length-(m-1) words; the row proves(logic, "Bm", m) certifies them all.
     """
     if m < 2:
         raise ValueError("chain elimination needs m >= 2")
@@ -269,15 +310,12 @@ def eliminate_impredicative_Bm(j: Judgment, e: Term, m: int) -> EliminationStep:
     firsts = tuple(instantiate(e.body, u) for u in pred_ws)
 
     def schema(ws, pos):
-        words = _words(e, sorted(ws, key=canonical_text), m)
-        h = Var(fresh("h", names(e)))  # A(w e) for each word w is A(h) at the locally closed w e
-        atoms = dict(zip(words, subst_each(instantiate(e.body, h), h, words.values())))
-        paths = _word_paths(atoms, m) + [[a] + p for p in _word_paths(atoms, m - 1) for a in firsts]
-        return dedup(t for w, t in words.items() if len(w) < m), paths
+        contexts = tuple(sorted(ws, key=canonical_text))
+        polarity = "eps" if isinstance(e, Eps) else "tau"
+        return dedup(_words(e, contexts, m - 1).values()), ChainFamily(e, contexts, m, firsts, polarity)
 
     refusal = f"logic {j.logic} does not prove the {m}-link chain schema"
-    step = _step(j, e, "Bm", refusal, schema, take=lambda r: not is_predicative(r))
-    return replace(step, chain_firsts=firsts)
+    return _step(j, e, "Bm", refusal, schema, take=lambda r: not is_predicative(r))
 
 
 def eliminate_complete_Gm(j: Judgment, e: Term, m: int) -> list[EliminationStep]:

@@ -9,7 +9,7 @@ import pytest
 
 from epsitau import semantics
 from epsitau.cli import build_parser, main
-from epsitau.eliminate import run_elimination
+from epsitau.eliminate import ChainFamily, run_elimination, trace_to_json
 
 from helpers import (
     chain_family,
@@ -89,6 +89,25 @@ def test_check_valid_invalid_budget(capsys):
         capsys, "--budget", "10", "check", "--logic", "lc3", "A1 | A2 | A3 | A4"
     )
     assert code == 3 and "budget" in err
+
+
+@pytest.mark.parametrize(
+    "budget, check",
+    [("-1", ["--logic", "lc3", "A | ~A"]), ("-5", ["A -> A"])],
+    ids=["lc3-excluded-middle", "classical-identity"],
+)
+def test_negative_budget_is_a_usage_error(capsys, budget, check):
+    with pytest.raises(SystemExit) as ex:
+        main(["--budget", budget, "check", *check])
+    captured = capsys.readouterr()
+    assert ex.value.code == 2 and captured.out == ""
+    assert f"error: argument --budget: must be at least 0, not {budget}" in captured.err
+
+
+def test_zero_budget_is_allowed(capsys):
+    assert run_cli(capsys, "--budget", "0", "check", "A -> A") == (0, "valid in classical\n", "")
+    code, out, err = run_cli(capsys, "--budget", "0", "check", "--logic", "lc3", "A | ~A")
+    assert (code, out) == (3, "") and err.startswith("budget exceeded: ")
 
 
 def test_check_kc_weak_excluded_middle(capsys):
@@ -690,6 +709,88 @@ def test_family_lines_of_random_judgments_rebuild_their_chains(capsys, tmp_path)
         for p in _family_polarities(capsys, tmp_path, random_judgment(rng, logic, "hb"))
     ]
     assert {"eps", "tau"} <= set(polarities)
+
+
+_E, _T = "eps x. A(x)", "tau x. A(x)"
+
+
+@pytest.mark.parametrize(
+    "logic, criticals, goal, count",
+    [
+        ("lc3", [f"A(f({_E})) -> A({_E})", f"A(f(f({_E}))) -> A({_E})", f"A(u) -> A({_E})"], f"A(u) -> A({_E})", 12),
+        (
+            "lc3",
+            [
+                f"A(g({_E}, c)) -> A({_E})", f"A(g(c, {_E})) -> A({_E})", f"A(g({_E}, {_E})) -> A({_E})",
+                f"A(u1) -> A({_E})", f"A(u2) -> A({_E})",
+            ],
+            f"A(u1) -> A({_E})",
+            45,
+        ),
+        (
+            "lc4",
+            [f"A(f({_E})) -> A({_E})", f"A(f(f({_E}))) -> A({_E})", f"A(f(f(f({_E})))) -> A({_E})", f"A(u) -> A({_E})"],
+            f"A(u) -> A({_E})",
+            108,
+        ),
+        (
+            "lc3",
+            [f"A({_T}) -> A(f({_T}))", f"A({_T}) -> A(f(f({_T})))", f"A({_T}) -> A(u1)", f"A({_T}) -> A(u2)"],
+            f"A({_T}) -> A(u1)",
+            16,
+        ),
+    ],
+    ids=["lc3-nested", "lc3-overlapping", "lc4-nested", "lc3-tau-nested"],
+)
+def test_chain_count_closed_form_where_contexts_nest_or_overlap(capsys, tmp_path, logic, criticals, goal, count):
+    # k^m + |firsts| k^(m-1) chains, none repeated, though one context occurs inside another
+    path = tmp_path / "judgment.txt"
+    path.write_text("\n".join([f"logic: {logic}", *(f"critical: {c}" for c in criticals), f"goal: {goal}"]) + "\n")
+    code, text, err = run_cli(capsys, "eliminate", str(path))
+    _, doc, _ = run_cli(capsys, "--format", "json", "eliminate", str(path))
+    step = run_elimination(load_judgment(path.read_text())).steps[0]
+    family = step.axiom_instances_used
+    assert isinstance(family, ChainFamily) and len(family) == count  # read before any member is built
+    members = list(iter(family))
+    assert (code, err) == (0, "") and len(members) == count
+    assert len(json.loads(doc)["steps"][0]["axiom_instances"]) == count
+    [line] = [line for line in text.splitlines() if line.startswith("  instances: ")]
+    assert chain_family(step, line) == (count, members)
+
+
+def test_text_trace_builds_no_chain(capsys, tmp_path, monkeypatch):
+    def refuse(family):
+        raise AssertionError("the text trace built the members of a chain family")
+
+    monkeypatch.setattr(ChainFamily, "_expand", refuse)
+    path = tmp_path / "judgment.txt"
+    path.write_text(dump_judgment(grid_judgment("lc4", 2)))
+    code, out, err = run_cli(capsys, "eliminate", str(path), "--verify", "full")
+    expected = (Path(__file__).parent / "golden" / "grid_lc4_k2_trace.txt").read_bytes()
+    assert (code, out.encode(), err) == (0, expected, "")
+
+
+def test_json_trace_builds_each_chain_family_once(capsys, tmp_path, monkeypatch):
+    built = []
+    expand = ChainFamily._expand
+
+    def counted(family):
+        built.append(family)
+        return expand(family)
+
+    monkeypatch.setattr(ChainFamily, "_expand", counted)
+    j = grid_judgment("lc6", 4)
+    path = tmp_path / "judgment.txt"
+    path.write_text(dump_judgment(j))
+    code, doc, err = run_cli(capsys, "--format", "json", "eliminate", str(path))
+    assert (code, err, len(built)) == (0, "", 1)
+    built.clear()
+    trace = run_elimination(load_judgment(path.read_text()))
+    [family] = [st.axiom_instances_used for st in trace.steps if isinstance(st.axiom_instances_used, ChainFamily)]
+    assert built == []
+    assert [trace_to_json(trace, j.logic) + "\n" for _ in range(2)] == [doc, doc]
+    assert len(list(family)) == len(family) == 6144
+    assert len(built) == 1 and built[0] is family
 
 
 def test_cached_parser_carries_no_state_between_calls(capsys, tmp_path, monkeypatch):
