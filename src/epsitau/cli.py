@@ -93,10 +93,11 @@ def _trace_lines(trace: elim.EliminationTrace) -> Iterator[str]:
         else:
             for inst in insts:
                 yield f"  instance: {inst.text(memo)}"
-        yield f"  goal: {to_text(st.after.goal, memo)}"
+        goal = to_text(st.after.goal, memo)
+        yield f"  goal: {goal}"
     for t, name in trace.grounding:
         yield f"ground {to_text(t, memo)} as {name}"
-    yield f"result: {to_text(trace.result, memo)}"
+    yield f"result: {goal if trace.result_is_last_goal else to_text(trace.result, memo)}"
 
 
 def cmd_eliminate(args) -> int:

@@ -94,6 +94,10 @@ class EliminationTrace:
     result: Formula
     grounding: tuple[tuple[Term, str], ...]
 
+    @property
+    def result_is_last_goal(self) -> bool:  # _finish kept the last step's goal: both print alike
+        return bool(self.steps) and self.result is self.steps[-1].after.goal
+
 
 @dataclass(frozen=True, slots=True)
 class FailureReport:
@@ -142,7 +146,9 @@ def judgment_measure(terms: Sequence[Term]) -> tuple[int, int, int]:
 
 
 def _expand(goal: Formula, e: Term, terms: Sequence[Term]) -> tuple[Formula, int]:
-    parts = [p for g in subst_each(goal, e, terms) for p in or_spine(g)]
+    """The goal's disjuncts with e replaced by each term in turn, deduplicated and
+    joined, and their count before dedup.  No disjunct is an Or, nor becomes one."""
+    parts = [p for ps in subst_each(or_spine(goal), e, terms) for p in ps]
     return or_join(dedup(parts)), len(parts)
 
 
@@ -193,8 +199,7 @@ def _step(
     rest = [f for f in j.criticals if f not in at_e]
     kept = [f for f, r in readings if not take(r)]
     goal, raw = _expand(j.goal, e, elim_set)
-    across = zip(*[subst_each(f, e, elim_set) for f in rest])  # per set term, each premise
-    criticals = dedup([f for fs in across for f in fs] + kept)
+    criticals = dedup([f for fs in subst_each(rest, e, elim_set) for f in fs] + kept)
     return EliminationStep(
         target=e,
         eliminated=tuple(f for f, _ in taken),
@@ -247,8 +252,8 @@ def _words(e: Term, contexts: Sequence[Term], n: int) -> dict[tuple[int, ...], T
     for length in range(1, n + 1):
         suffixes = [x for x in terms if len(x) == length - 1]  # the previous length's words, in order
         for i, context in enumerate(contexts):
-            applied = subst_each(context, e, [terms[x] for x in suffixes])
-            terms.update(((i, *x), t) for x, t in zip(suffixes, applied))
+            applied = subst_each((context,), e, [terms[x] for x in suffixes])
+            terms.update(((i, *x), t) for x, [t] in zip(suffixes, applied))
     return terms
 
 
@@ -289,7 +294,7 @@ class ChainFamily(Sequence[semantics.Instance]):
         with sharing():
             words = _words(e, self.contexts, m)
             h = Var(fresh("h", names(e)))  # A(w e) for each word w is A(h) at the locally closed w e
-            atoms = dict(zip(words, subst_each(instantiate(e.body, h), h, words.values())))
+            atoms = {w: a for w, [a] in zip(words, subst_each((instantiate(e.body, h),), h, words.values()))}
             paths = _word_paths(atoms, m) + [[a] + p for p in _word_paths(atoms, m - 1) for a in self.firsts]
             return dedup(semantics.Instance("Bm", self.polarity, tuple(p)) for p in paths)
 
@@ -552,8 +557,8 @@ def trace_to_json(trace: EliminationTrace, logic: Logic) -> str:
             }
             for st in trace.steps
         ],
-        "result": to_text(trace.result, memo),
-        "grounding": {to_text(t, memo): name for t, name in trace.grounding},
     }
+    last = trace.result_is_last_goal
+    doc["result"] = doc["steps"][-1]["goal_after"] if last else to_text(trace.result, memo)
+    doc["grounding"] = {to_text(t, memo): name for t, name in trace.grounding}
     return json.dumps(doc, indent=2, sort_keys=True)
-

@@ -21,16 +21,19 @@ Two walkers keep an explicit stack and visit each distinct node once, so
 their cost follows the distinct nodes, not the tree, and neither recurses
 along a long disjunction: transform goes bottom-up and rewrites a node or
 folds it into a value from its children's, and _nodes visits in pre-order.
-One walk substitutes a term by many: subst_each folds once to list the
-nodes above the term's occurrences, then rebuilds only those per term.
+One walk substitutes a term by many, in many roots: subst_each visits the
+distinct nodes of all the roots once, by node, to list the nodes above the
+term's occurrences, then rebuilds only those per term, once for all roots.
 The critical-formula module reads terms through the same tools: it
 recognizes a reading with one match_holes pattern per candidate term, and
 finds a term's subordinates in one transform fold over its body.
 The printer, too, renders each shared term and atom once: within one
 ``to_text`` call, or within one output whose caller passes the same text
 memo to every call.  That memo is keyed by the printed formula's free
-variables, then by node id, and lives for that output only.  Formulas of
-one shape print by filling its template (template, fill) with their parts.
+variables, then by node id, and lives for that output only.  A term, atom
+or implication of atoms outside every binder is composed in one step from
+its parts' known texts.  Formulas of one shape print by filling its
+template (template, fill) with their parts.
 """
 
 from __future__ import annotations
@@ -583,45 +586,49 @@ def subst_var(phi: Obj, name: str, t: Term) -> Obj:
     return transform(phi, leaf)
 
 
-def subst_each(obj: Obj, e: Term, terms: Iterable[Term]) -> Iterator[Obj]:
-    """obj with every standalone occurrence of the term e replaced by s, for each s in terms.
+def subst_each(objs: Sequence[Obj], e: Term, terms: Iterable[Term]) -> Iterator[list[Obj]]:
+    """objs with every standalone occurrence of the term e replaced by s, for each s in terms.
 
     Matches outermost first and never descends into the replacement, so the
     result is stable even when s contains e.  Occurrences under a binder that
     captures a variable of e differ structurally from e after index shifting
-    and are left alone.  Nodes that cannot hold e are kept, and obj itself
-    when e does not occur; each s rebuilds only the nodes above an occurrence.
-    The results come one at a time, so a caller that flattens or keeps only
-    part of each one never holds all of them.
+    and are left alone.  So whether e occurs in a node does not depend on the
+    binders above it: one walk over the distinct nodes of all the objs, keyed
+    by node, finds the occurrences.  Nodes that cannot hold e are kept, and an
+    obj itself when e does not occur in it; each s rebuilds only the nodes
+    above an occurrence, once for all the objs.  The results come one list at
+    a time, so a caller that flattens or keeps part of each never holds all.
     """
     may_hold = _may_hold(e)
+    held: dict[int, bool] = {}  # id(node): whether e occurs in node
     hits: list[int] = []  # ids of the occurrences
-    above: dict[int, _Node] = {}  # the nodes with an occurrence below, in post-order
-
-    def leaf(node, depth):
-        if not may_hold(node):
-            return False
-        if isinstance(node, Term) and node == e:
-            hits.append(id(node))
-            return True
-        return None
-
-    def build(node, kids):
-        if any(kids):
-            above[id(node)] = node
-        return any(kids)
-
-    held = transform(obj, leaf, build)
+    above: list[_Node] = []  # the nodes with an occurrence below, in post-order
+    stack = [(obj, False) for obj in reversed(objs)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:  # every child is in held
+            held[id(node)] = found = any([held[id(k)] for k in node._kids()])
+            if found:
+                above.append(node)
+        elif id(node) not in held:
+            if not may_hold(node):
+                held[id(node)] = False
+            elif isinstance(node, Term) and node == e:
+                held[id(node)] = True
+                hits.append(id(node))
+            else:
+                stack.append((node, True))
+                stack += [(k, False) for k in reversed(node._kids())]
     for s in terms:
         new = dict.fromkeys(hits, s)
-        for key, node in above.items():
-            new[key] = rebuild(node, tuple([new.get(id(k), k) for k in node._kids()]))
-        yield new[id(obj)] if held else obj
+        for node in above:
+            new[id(node)] = rebuild(node, tuple([new.get(id(k), k) for k in node._kids()]))
+        yield [new.get(id(obj), obj) for obj in objs]
 
 
 def subst_term(obj: Obj, e: Term, s: Term) -> Obj:
     """subst_each's one result for s: every standalone occurrence of e replaced by s."""
-    return next(subst_each(obj, e, (s,)))
+    return next(subst_each((obj,), e, (s,)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +725,8 @@ def _fmt(obj: Obj, canonical: bool, memo: dict, avoid: Iterable[str] = (), holes
     outside every binder prints the same wherever it occurs in obj: its
     binder names avoid only obj's free variables and ``avoid``.  So its
     text is kept in ``memo`` by node id, and a shared one is rendered once.
+    Such a node, or an implication of two atoms, whose parts' texts are
+    known (see _part) skips the stack: its text is composed in one step.
     With ``holes``, a map from id(atom) to i, each of those atoms outside
     every binder becomes a hole (i, precedence of its context), and the
     result is a template: a tuple of literal pieces and holes, for fill.
@@ -740,6 +749,15 @@ def _fmt(obj: Obj, canonical: bool, memo: dict, avoid: Iterable[str] = (), holes
             continue
         node, prec = item
         cls = type(node)
+        if not env and holes is None:
+            if cls is Implies:
+                left, right = _part(node.left, memo, 2), _part(node.right, memo, 2)
+                text = None if left is None or right is None else f"{left} -> {right}"
+            else:
+                text = _part(node, memo, 2)
+            if text is not None:
+                out.append(f"({text})" if prec > _PREC.get(cls, _PREC_ATOM) else text)
+                continue
         if not env and cls in _SHARED:
             if holes and id(node) in holes:
                 out.append((holes[id(node)], prec))
@@ -790,6 +808,22 @@ def _fmt(obj: Obj, canonical: bool, memo: dict, avoid: Iterable[str] = (), holes
     if holes is None:
         return "".join(out)
     return tuple(p for cls, run in groupby(out, type) for p in (["".join(run)] if cls is str else run))
+
+
+def _part(node: _Node, memo: dict, depth: int) -> str | None:
+    """node's text outside every binder, if known without the work stack: a Var's
+    name, a term's or atom's memoized text, or an App or Atom composed, and
+    memoized, from its arguments' texts known so within depth - 1 levels.
+    No such text takes parentheses, unlike the memo's other entries from fill."""
+    cls = type(node)
+    if cls is Var:
+        return node.name
+    text = memo.get(id(node)) if cls in _SHARED else None
+    if text is None and depth and (cls is App or cls is Atom):
+        args = [_part(a, memo, depth - 1) for a in node.args]
+        if None not in args:
+            text = memo[id(node)] = f"{node._label()}({', '.join(args)})" if args else node._label()
+    return text
 
 
 def to_text(obj: Obj, memo: dict | None = None) -> str:

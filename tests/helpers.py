@@ -11,7 +11,8 @@ the per-valuation evaluators are their reference in the tests.  The
 reference algorithms at the end keep the package's replaced ones: critical
 readings by instantiate-and-compare, subordinates by a stack walk, and the
 prover's search by structural match, which normalizes its input with
-semantics._norm so that it visits the same sequents as prove_H.
+semantics._norm so that it visits the same sequents as prove_H, and the
+printer through its work stack alone.
 """
 
 from __future__ import annotations
@@ -44,10 +45,19 @@ from epsitau.syntax import (
     Implies,
     Not,
     Or,
+    SortError,
     Tau,
     Term,
     Top,
     Var,
+    _INFIX,
+    _KEYWORD,
+    _LEAVE,
+    _PREC,
+    _PREC_ATOM,
+    _PREC_IMP,
+    _PREC_NOT,
+    _SHARED,
     _nodes,
     abstract_var,
     and_join,
@@ -57,6 +67,7 @@ from epsitau.syntax import (
     etau_subterms,
     exists,
     forall,
+    fresh,
     instantiate,
     locally_closed,
     match_holes,
@@ -963,6 +974,85 @@ def matched_prove(premises: Iterable[Formula], goal: Formula) -> tuple[bool, int
     with sharing():
         answer = prove(frozenset(_norm(p) for p in premises), _norm(goal))
     return answer, calls
+
+
+# ---------------------------------------------------------------------------
+# Reference printer: every node through the work stack
+
+
+def stack_fmt(obj, canonical: bool, memo: dict, avoid: Iterable[str] = (), holes: dict | None = None):
+    """syntax._fmt's contract, every node rendered through the explicit work
+    stack: a term or atom outside every binder is kept in ``memo`` by node
+    id once its pieces are joined, and no node is composed from its parts'
+    texts in one step."""
+    out: list = []
+    env: list[str] = []  # binder names, innermost last
+    avoid = {*obj._fv, *avoid}
+    work: list = [(obj, 0)]
+    while work:
+        item = work.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if item is _LEAVE:
+            avoid.discard(env.pop())
+            continue
+        if type(item) is list:  # [node, start]: node's pieces are out[start:]
+            node, start = item
+            out[start:] = [memo.setdefault(id(node), "".join(out[start:]))]
+            continue
+        node, prec = item
+        cls = type(node)
+        if not env and cls in _SHARED:
+            if holes and id(node) in holes:
+                out.append((holes[id(node)], prec))
+                continue
+            text = memo.get(id(node))
+            if text is not None:
+                out.append(text)
+                continue
+            work.append([node, len(out)])
+        if prec > _PREC.get(cls, _PREC_ATOM):
+            out.append("(")
+            work.append(")")
+        if cls is Var:
+            out.append(node.name)
+        elif cls is Bound:
+            i = node.index
+            out.append(env[-1 - i] if i < len(env) else f"?b{i - len(env)}")
+        elif cls is App or cls is Atom:
+            out.append(node._label())
+            if node.args:
+                out.append("(")
+                work.append(")")
+                for k, a in enumerate(reversed(node.args)):
+                    if k:
+                        work.append(", ")
+                    work.append((a, _PREC_IMP))
+        elif cls is Top or cls is Bot:
+            out.append("top" if cls is Top else "bot")
+        elif cls is Not:
+            out.append("~")
+            work.append((node.sub, _PREC_NOT))
+        elif cls in _INFIX:
+            sep, mine = _INFIX[cls], _PREC[cls]
+            lefts = []
+            while type(node) is cls:
+                lefts.append(node.left)
+                node = node.right
+            work.append((node, mine))
+            for left in reversed(lefts):
+                work += (sep, (left, mine + 1))
+        elif isinstance(node, BINDERS):
+            name = f"?{len(env)}" if canonical else fresh(node.hint, avoid)
+            out.append(f"{_KEYWORD[cls]} {name}. ")
+            env.append(name)
+            work += (_LEAVE, (node.body, _PREC_IMP))
+        else:
+            raise SortError(f"not a term or formula: {node!r}")
+    if holes is None:
+        return "".join(out)
+    return tuple(p for cls, run in itertools.groupby(out, type) for p in (["".join(run)] if cls is str else run))
 
 
 def chain_witness_judgment():

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from epsitau import semantics
+from epsitau import eliminate as elim
+from epsitau import semantics, syntax
 from epsitau.cli import build_parser, main
 from epsitau.eliminate import ChainFamily, run_elimination, trace_to_json
 
 from helpers import (
     chain_family,
+    chain_witness_judgment,
     dump_judgment,
     grid_judgment,
     instance_formula,
@@ -597,8 +599,9 @@ def test_prover_recursion_limit_is_not_an_invalid_answer():
     [
         ("lc3_worked_trace.txt", lc3_worked_judgment, "full"),
         ("grid_lc4_k2_trace.txt", lambda: grid_judgment("lc4", 2), "none"),
+        ("grid_lc5_k3_trace.txt", lambda: grid_judgment("lc5", 3), "none"),  # words of length 4 over 3 contexts
     ],
-    ids=["lc3-worked", "grid-lc4-k2"],
+    ids=["lc3-worked", "grid-lc4-k2", "grid-lc5-k3"],
 )
 def test_eliminate_text_trace_matches_golden(capsys, tmp_path, golden, judgment, verify):
     path = tmp_path / "judgment.txt"
@@ -606,6 +609,33 @@ def test_eliminate_text_trace_matches_golden(capsys, tmp_path, golden, judgment,
     code, out, err = run_cli(capsys, "eliminate", str(path), "--verify", verify)
     expected = (Path(__file__).parent / "golden" / golden).read_bytes()
     assert (code, out.encode(), err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("judgment, grounded", [(lambda: grid_judgment("lc4", 2), False),
+                                                (chain_witness_judgment, True)],
+                         ids=["grid-lc4-k2", "chain-witness-grounded"])
+def test_result_is_printed_once_when_it_is_the_last_goal(capsys, tmp_path, monkeypatch, fmt, judgment, grounded):
+    # a result that is the last step's goal is rendered once, for the goal,
+    # and printed from that text; a grounded result is rendered on its own
+    traces, formatted = [], []
+    run, fmt_ = elim.run_elimination, syntax._fmt
+    monkeypatch.setattr(elim, "run_elimination", lambda *a, **k: traces.append(run(*a, **k)) or traces[-1])
+    monkeypatch.setattr(syntax, "_fmt", lambda obj, *a, **k: formatted.append(obj) or fmt_(obj, *a, **k))
+    path = tmp_path / "judgment.txt"
+    path.write_text(dump_judgment(judgment()))
+    code, out, err = run_cli(capsys, "--format", fmt, "eliminate", str(path))
+    [trace] = traces
+    goal = trace.steps[-1].after.goal
+    assert (code, err, trace.result is goal, bool(trace.grounding)) == (0, "", not grounded, grounded)
+    assert sum(obj is trace.result for obj in formatted) == sum(obj is goal for obj in formatted) == 1
+    if fmt == "json":
+        doc = json.loads(out)
+        printed, last = doc["result"], doc["steps"][-1]["goal_after"]
+    else:
+        [printed] = [line.removeprefix("result: ") for line in out.splitlines() if line.startswith("result: ")]
+        last = [line for line in out.splitlines() if line.startswith("  goal: ")][-1].removeprefix("  goal: ")
+    assert (printed, printed == last) == (to_text(trace.result), not grounded)
 
 
 def _trace_blocks(text: str) -> list[list[str]]:
@@ -627,8 +657,43 @@ def _compound_matrix_judgment():
     return load_judgment("\n".join([*lines, f"goal: {m('u1')} -> {m(e)}"]) + "\n")
 
 
-@pytest.mark.parametrize("judgment", [lambda: grid_judgment("lc4", 3), _compound_matrix_judgment],
-                         ids=["grid-lc4-k3", "compound-matrix"])
+def _implication_matrix_judgment():
+    """The lc3 grid cell with k = 2 for e = eps x. (A(x) -> B(x)): its atoms are
+    implications, which take parentheses on the left of ->."""
+    e = "eps x. (A(x) -> B(x))"
+    m = lambda t: f"(A({t}) -> B({t}))"
+    lines = ["logic: lc3", *(f"critical: {m(w)} -> {m(e)}" for w in (f"s1({e})", f"s2({e})", "u1", "u2"))]
+    return load_judgment("\n".join([*lines, f"goal: {m('u1')} -> {m(e)}"]) + "\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_trace_of_an_implication_matrix_parses_back(capsys, tmp_path, monkeypatch, fmt):
+    # the instances are filled from templates before each goal, through the
+    # same memo, with the implications that stand on the left of the goal's
+    # disjuncts; every goal and the result still parse back to their formulas
+    traces = []
+    run = elim.run_elimination
+    monkeypatch.setattr(elim, "run_elimination", lambda *a, **k: traces.append(run(*a, **k)) or traces[-1])
+    path = tmp_path / "judgment.txt"
+    path.write_text(dump_judgment(_implication_matrix_judgment()))
+    code, out, err = run_cli(capsys, "--format", fmt, "eliminate", str(path), "--verify", "none")
+    [trace] = traces
+    if fmt == "json":
+        doc = json.loads(out)
+        goals, [result] = [st["goal_after"] for st in doc["steps"]], [doc["result"]]
+    else:
+        goals = [line[8:] for line in out.splitlines() if line.startswith("  goal: ")]
+        [result] = [line[8:] for line in out.splitlines() if line.startswith("result: ")]
+    assert (code, err, trace.result_is_last_goal, len(goals)) == (0, "", True, len(trace.steps))
+    assert [parse_formula(g) for g in goals] == [st.after.goal for st in trace.steps]
+    assert parse_formula(result) == trace.result
+
+
+@pytest.mark.parametrize(
+    "judgment",
+    [lambda: grid_judgment("lc4", 3), _compound_matrix_judgment, _implication_matrix_judgment],
+    ids=["grid-lc4-k3", "compound-matrix", "implication-matrix"],
+)
 def test_instance_lines_print_as_their_formulas(capsys, tmp_path, monkeypatch, judgment):
     # both traces print each instance from its shape's template; printing
     # the built formula instead, through the same memo, gives the same bytes

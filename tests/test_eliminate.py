@@ -749,6 +749,17 @@ def test_each_step_refuses_exactly_what_its_table_row_refuses(logic):
 # trace serialization
 
 
+def test_step_counts_its_goal_disjuncts_before_dedup():
+    # bench/tracing.py reads raw_disjunct_count and after.goal: the first
+    # step's set {eps x. P(x), f(eps x. P(x))} gives two copies of a goal
+    # without eps x. P(x), and dedup keeps one
+    trace = run_elimination(chain_witness_judgment())
+    v = "P(f(eps z. P(f(z)) -> P(z))) -> P(eps z. P(f(z)) -> P(z))"
+    after = f"({v}) | (P(f(eps x. P(x))) -> P(eps x. P(x))) | (P(f(f(eps x. P(x)))) -> P(f(eps x. P(x))))"
+    steps = [(st.raw_disjunct_count, len(or_spine(st.after.goal)), to_text(st.after.goal)) for st in trace.steps]
+    assert steps == [(2, 1, v), (3, 3, after)]
+
+
 def test_trace_json_golden(tmp_path):
     j = chain_witness_judgment()
     trace = run_elimination(j)

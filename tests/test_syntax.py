@@ -6,13 +6,17 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epsitau import syntax
 from epsitau.judgments import CLASSICAL
 from epsitau.semantics import Instance, Verdict, decide
 from epsitau.syntax import (
     And,
     App,
     Atom,
+    Exists,
+    Forall,
     Implies,
+    Not,
     Or,
     Term,
     Var,
@@ -20,7 +24,9 @@ from epsitau.syntax import (
     contains_etau,
     dedup,
     eps,
+    exists,
     fill,
+    forall,
     free_vars,
     fresh,
     fresh_numbered,
@@ -42,7 +48,7 @@ from epsitau.syntax import (
 from epsitau.translate import et_translate
 from epsitau.parser import parse_formula as pf, parse_term as pt
 
-from helpers import random_formula, random_matrix, random_qf_formula, random_term
+from helpers import random_formula, random_matrix, random_qf_formula, random_term, stack_fmt
 
 
 def test_alpha_eq_renamed_binder():
@@ -366,18 +372,41 @@ def test_subst_each_agrees_with_one_walk_per_term(shared):
         e = pt(_E)
         ts = [pt("c"), pt(f"g({_E})"), e, pt(_E), pt("tau y. Q(y, c)")]  # s may contain e, or be e
         for obj in _substitution_cases(rng, e) + [pt(_E), pf("P(c)")]:
-            got = list(subst_each(obj, e, ts))
+            got = [g for [g] in subst_each([obj], e, ts)]
             want = [_subst_one_walk(obj, e, t) for t in ts]
             assert got == want
             assert [to_text(g) for g in got] == [to_text(w) for w in want]
             assert [g is obj for g in got] == [w is obj for w in want]  # kept where nothing changed
-            assert list(subst_each(obj, e, [])) == []
+            assert list(subst_each([obj], e, [])) == []
             assert subst_term(obj, e, ts[0]) == want[0]
             if not occurs(e, obj):
                 assert all(g is obj for g in got)
-        assert all(map(operator.is_, subst_each(pt(_E), e, ts), ts))  # obj == e gives each s itself
+        # obj == e gives each s itself, also for the alpha-variant e' of e and s = e
+        for variant in (pt(_E), pt("eps z. C(z, y)")):
+            assert all(map(operator.is_, [g for [g] in subst_each([variant], e, ts)], ts))
         captured = pf(f"B({_E}, y) & (ex y. B({_E}, y))")
-        assert list(subst_each(captured, e, ts[:1])) == [pf(f"B(c, y) & (ex y. B({_E}, y))")]
+        assert list(subst_each([captured], e, ts[:1])) == [[pf(f"B(c, y) & (ex y. B({_E}, y))")]]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_subst_each_substitutes_many_roots_in_one_walk(shared):
+    rng = random.Random(31)
+    with sharing() if shared else contextlib.nullcontext():
+        e = pt(_E)
+        ts = [pt("c"), pt(f"g({_E})"), e, pt("eps z. C(z, y)")]
+        cases = _substitution_cases(rng, e)
+        common = Atom("R", (pt(f"f({_E})"), e))  # one node under two roots
+        roots = [And(common, cases[0]), Or(cases[1], common), *cases[2:8], e, pt(_E), pf("P(c)")]
+        results = list(subst_each(roots, e, ts))
+        assert len(results) == len(ts)
+        for t, got in zip(ts, results):
+            want = [_subst_one_walk(obj, e, t) for obj in roots]
+            assert got == want
+            assert [to_text(g) for g in got] == [to_text(w) for w in want]
+            assert [g is obj for g, obj in zip(got, roots)] == [w is obj for w, obj in zip(want, roots)]
+            assert got[0].left is got[1].right  # the shared node is rebuilt once, for both roots
+            assert got[-3] is t and got[-2] is t  # roots that are e become s itself
+        assert list(subst_each([], e, ts)) == [[] for _ in ts]
 
 
 # ---------------------------------------------------------------------------
@@ -422,3 +451,58 @@ def test_instance_line_over_a_deep_term_needs_no_recursion():
     assert to_text(e, memo) == "eps x. A(x)"  # the leaf is in the memo, the tree is not
     inst = Instance("Bm", "eps", (Atom("A", (t,)), Atom("A", (e,))))
     assert inst.text(memo) == f"A({text}) -> A(eps x. A(x))"
+
+
+# ---------------------------------------------------------------------------
+# The printer against its work stack alone
+
+
+def _printer_cases(rng):
+    """Formulas, terms and atoms built in one scope, each term and atom in many
+    of them: eps/tau terms, quantifiers, ~ and -> nested on both sides; and
+    schema instances over the atoms."""
+    with sharing():
+        terms = [random_term(rng, 3, ["x", "y"]) for _ in range(6)]
+        terms += [App("s", (rng.choice(terms),)) for _ in range(4)]
+        atoms = [Atom(rng.choice("PQ"), tuple(rng.sample(terms, rng.randint(0, 2)))) for _ in range(8)]
+        pool = [random_qf_formula(rng, 3, atoms) for _ in range(6)]
+        pool += [rng.choice((forall, exists))("x", rng.choice(pool)) for _ in range(2)]
+        pool += [random_formula(rng, 3, ["x", "y"]) for _ in range(4)]
+        pick = lambda: rng.choice(pool + atoms)
+        objs = pool + [Implies(Implies(pick(), pick()), Implies(pick(), pick())) for _ in range(6)]
+        objs += [Not(pick()) for _ in range(2)] + terms + atoms
+    rng.shuffle(objs)
+    kinds = [("EM", 1), ("J", 2), ("bigdisj", 2), ("bigdisj", 3), ("Bm", 3)]
+    instances = [Instance(k, rng.choice(("eps", "tau")), tuple(rng.sample(atoms, n))) for k, n in kinds]
+    return objs, atoms, instances
+
+
+def _printed(objs, atoms, instances) -> list:
+    """Every text the printer makes of the cases, through one memo where the callers pass one."""
+    memo: dict = {}
+    out = [to_text(o, memo) for o in objs] + [to_text(o) for o in objs] + [canonical_text(o) for o in objs]
+    out += [i.text(memo) for i in instances]
+    for o in objs:
+        shape = template(o, atoms)
+        out += [shape, fill(shape, atoms[1:] + atoms[:1], memo)]
+    # fill keeps an implication or quantified part's text in the memo, under
+    # the free variables of an implication between two parts, which needs
+    # parentheses around such a part on its left
+    compound = [o for o in objs if type(o) in (Implies, Forall, Exists)]
+    shape = template(Implies(atoms[0], atoms[1]), atoms[:2])
+    for p, q in zip(compound, compound[1:] + compound[:1]):
+        out += [fill(shape, [p, q], memo), to_text(Implies(p, q), memo)]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_printer_agrees_with_the_work_stack_printer(seed):
+    # the printer composes a term, atom or implication outside every binder
+    # from its parts' texts; printing every node through the work stack, as
+    # helpers.stack_fmt does, gives the same bytes
+    cases = _printer_cases(random.Random(seed))
+    got = _printed(*cases)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(syntax, "_fmt", stack_fmt)
+        assert _printed(*cases) == got
