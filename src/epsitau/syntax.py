@@ -12,7 +12,10 @@ shared: operations return the node they were given wherever nothing
 changes, so formulas are DAGs rather than trees.  Each node computes its
 facts once, when it is built: its hash, its free variables, whether it
 holds an epsilon/tau term or a quantifier, and how far its bound indices
-escape.  The queries read those facts instead of walking.  Inside a
+escape.  The queries read those facts, and each constructor reads its
+children's, instead of walking.  The hash still hashes the children through
+__hash__, as hash((left, right)): a tuple of their stored ints would hash to
+other values, as hash() reduces an int modulo 2**61 - 1.  Inside a
 ``sharing()`` scope the constructors also hash-cons: a node equal to one
 already built in the scope, binder names included, *is* that node.  The
 intern table belongs to the outermost open scope and is dropped when it
@@ -31,9 +34,9 @@ The printer, too, renders each shared term and atom once: within one
 ``to_text`` call, or within one output whose caller passes the same text
 memo to every call.  That memo is keyed by the printed formula's free
 variables, then by node id, and lives for that output only.  A term, atom
-or implication of atoms outside every binder is composed in one step from
-its parts' known texts.  Formulas of one shape print by filling its
-template (template, fill) with their parts.
+or implication of atoms outside every binder, a chain's operand too, is
+composed in one step from its parts' known texts.  Formulas of one shape
+print by filling its template (template, fill) with their parts.
 """
 
 from __future__ import annotations
@@ -111,8 +114,8 @@ def _intern(node: _Node) -> _Node:
     if table is None:
         return node
     hit = table.setdefault(node, node)
-    if hit is node:
-        return node
+    if hit is node or not node._info & 3:  # equal nodes without binders are spelled alike
+        return hit
     variants = hit if type(hit) is tuple else (hit,)
     for v in variants:
         if v._same(node) or _equal(v, node, names=True):
@@ -121,17 +124,16 @@ def _intern(node: _Node) -> _Node:
     return node
 
 
-def _combine(node: _Node, kids: Iterable[_Node]) -> None:
-    """Set node's free variables and flags from its children's."""
+def _combine(kids: Iterable[_Node]) -> tuple[frozenset[str], int]:
+    """The free variables and flags of a node over kids."""
     fv, info = _NO_VARS, 0
     for k in kids:
         kf = k._fv
         if not kf <= fv:
             fv = kf if fv <= kf else fv | kf
         ki = k._info
-        info = max(info, ki) | ((info | ki) & 3)
-    node._fv = fv
-    node._info = info
+        info = (info if info > ki else ki) | ((info | ki) & 3)
+    return fv, info
 
 
 class Var(Term):
@@ -177,7 +179,7 @@ class App(Term):
         self.head = head
         self.args = args
         self._hash = hash((head, args))
-        _combine(self, args)
+        self._fv, self._info = (args[0]._fv, args[0]._info) if len(args) == 1 else _combine(args)
         return _intern(self)
 
     def _label(self) -> object:
@@ -199,7 +201,7 @@ class Atom(Formula):
         self.pred = pred
         self.args = args
         self._hash = hash((pred, args))
-        _combine(self, args)
+        self._fv, self._info = (args[0]._fv, args[0]._info) if len(args) == 1 else _combine(args)
         return _intern(self)
 
     def _label(self) -> object:
@@ -223,8 +225,8 @@ class _Binder(_Node):
         self.body = body
         self._hash = hash((body,))
         self._fv = body._fv
-        i = body._info
-        self._info = max((i >> 2) - 1, 0) << 2 | (i & 3) | cls._flag
+        i = body._info  # the escape count drops by one past this binder
+        self._info = (i - 4 if i >= 8 else i & 3) | cls._flag
         return _intern(self)
 
     def _kids(self) -> tuple:
@@ -305,7 +307,7 @@ class _Binary(Formula):
         fl, fr = left._fv, right._fv
         self._fv = fl if fr <= fl else fr if fl <= fr else fl | fr
         il, ir = left._info, right._info
-        self._info = max(il, ir) | ((il | ir) & 3)
+        self._info = (il if il > ir else ir) | ((il | ir) & 3)
         return _intern(self)
 
     def _kids(self) -> tuple:
@@ -555,16 +557,10 @@ def etau_subterms(obj: Obj) -> list[Term]:
     return list(dict.fromkeys(found))
 
 
-def _may_hold(e: Term) -> Callable[[_Node], bool]:
-    """Whether a node can have a subterm equal to e, judged by the flags."""
-    need = e._info & (_ETAU | _QUANT)
-    return lambda node: node._info & need == need
-
-
 def occurs(e: Term, obj: Obj) -> bool:
     """True iff some subterm of obj equals e up to bound-variable renaming."""
-    may_hold = _may_hold(e)
-    return any(isinstance(n, Term) and n == e for n in _nodes(obj, may_hold))
+    need = e._info & (_ETAU | _QUANT)  # only a node with e's flags can hold e
+    return any(isinstance(n, Term) and n == e for n in _nodes(obj, lambda n: n._info & need == need))
 
 
 # ---------------------------------------------------------------------------
@@ -596,34 +592,47 @@ def subst_each(objs: Sequence[Obj], e: Term, terms: Iterable[Term]) -> Iterator[
     binders above it: one walk over the distinct nodes of all the objs, keyed
     by node, finds the occurrences.  Nodes that cannot hold e are kept, and an
     obj itself when e does not occur in it; each s rebuilds only the nodes
-    above an occurrence, once for all the objs.  The results come one list at
-    a time, so a caller that flattens or keeps part of each never holds all.
+    above an occurrence, once for all the objs: unchecked, as each changes,
+    unless s equals e.  Such an s goes through rebuild: an occurrence spelled
+    as s stays, one spelled otherwise takes s's spelling.  The results come
+    one list at a time, so a caller that flattens or keeps part of each never
+    holds all.
     """
-    may_hold = _may_hold(e)
+    need, h = e._info & (_ETAU | _QUANT), e._hash
     held: dict[int, bool] = {}  # id(node): whether e occurs in node
     hits: list[int] = []  # ids of the occurrences
     above: list[_Node] = []  # the nodes with an occurrence below, in post-order
-    stack = [(obj, False) for obj in reversed(objs)]
+    stack: list = list(reversed(objs))  # a node to visit, or (node,) once its children are in held
     while stack:
-        node, ready = stack.pop()
-        if ready:  # every child is in held
+        node = stack.pop()
+        if type(node) is tuple:
+            node = node[0]
             held[id(node)] = found = any([held[id(k)] for k in node._kids()])
             if found:
                 above.append(node)
         elif id(node) not in held:
-            if not may_hold(node):
+            if node._info & need != need:  # as in occurs
                 held[id(node)] = False
-            elif isinstance(node, Term) and node == e:
+            elif node._hash == h and isinstance(node, Term) and node == e:
                 held[id(node)] = True
                 hits.append(id(node))
             else:
-                stack.append((node, True))
-                stack += [(k, False) for k in reversed(node._kids())]
+                stack.append((node,))
+                stack += reversed(node._kids())
     for s in terms:
         new = dict.fromkeys(hits, s)
-        for node in above:
-            new[id(node)] = rebuild(node, tuple([new.get(id(k), k) for k in node._kids()]))
-        yield [new.get(id(obj), obj) for obj in objs]
+        get, same = new.get, s._hash == h and s == e  # unless same, every node above changes
+        for node in above:  # one or two children without a list
+            kids = node._kids()
+            if len(kids) == 1:  # the child holds e, so it is in new
+                kids = (new[id(kids[0])],)
+            elif len(kids) == 2:
+                a, b = kids
+                kids = (get(id(a), a), get(id(b), b))
+            else:
+                kids = tuple([get(id(k), k) for k in kids])
+            new[id(node)] = rebuild(node, kids) if same else node._with(kids)
+        yield [get(id(obj), obj) for obj in objs]
 
 
 def subst_term(obj: Obj, e: Term, s: Term) -> Obj:
@@ -726,8 +735,9 @@ def _fmt(obj: Obj, canonical: bool, memo: dict, avoid: Iterable[str] = (), holes
     binder names avoid only obj's free variables and ``avoid``.  So its
     text is kept in ``memo`` by node id, and a shared one is rendered once.
     Such a node, or an implication of two atoms, whose parts' texts are
-    known (see _part) skips the stack: its text is composed in one step.
-    With ``holes``, a map from id(atom) to i, each of those atoms outside
+    known (see _direct) skips the stack: its text is composed in one step,
+    and a chain's leading operands so composed go straight out.  With
+    ``holes``, a map from id(atom) to i, each of those atoms outside
     every binder becomes a hole (i, precedence of its context), and the
     result is a template: a tuple of literal pieces and holes, for fill.
     """
@@ -750,13 +760,9 @@ def _fmt(obj: Obj, canonical: bool, memo: dict, avoid: Iterable[str] = (), holes
         node, prec = item
         cls = type(node)
         if not env and holes is None:
-            if cls is Implies:
-                left, right = _part(node.left, memo, 2), _part(node.right, memo, 2)
-                text = None if left is None or right is None else f"{left} -> {right}"
-            else:
-                text = _part(node, memo, 2)
+            text = _direct(node, prec, memo)
             if text is not None:
-                out.append(f"({text})" if prec > _PREC.get(cls, _PREC_ATOM) else text)
+                out.append(text)
                 continue
         if not env and cls in _SHARED:
             if holes and id(node) in holes:
@@ -791,13 +797,22 @@ def _fmt(obj: Obj, canonical: bool, memo: dict, avoid: Iterable[str] = (), holes
             work.append((node.sub, _PREC_NOT))
         elif cls in _INFIX:
             sep, mine = _INFIX[cls], _PREC[cls]
-            lefts = []
+            ops = []
             while type(node) is cls:
-                lefts.append(node.left)
+                ops.append(node.left)
                 node = node.right
-            work.append((node, mine))
-            for left in reversed(lefts):
-                work += (sep, (left, mine + 1))
+            ops.append(node)
+            k, last = 0, len(ops) - 1
+            if not env and holes is None:  # the leading operands that compose go straight out
+                while k <= last and (text := _direct(ops[k], mine + (k < last), memo)) is not None:
+                    out += (text, sep)
+                    k += 1
+                if k > last:
+                    out.pop()  # the separator after the last operand
+                    continue
+            work.append((ops[last], mine))
+            for op in reversed(ops[k:last]):
+                work += (sep, (op, mine + 1))
         elif isinstance(node, _Binder):
             name = f"?{len(env)}" if canonical else fresh(node.hint, avoid)
             out.append(f"{_KEYWORD[cls]} {name}. ")
@@ -810,6 +825,16 @@ def _fmt(obj: Obj, canonical: bool, memo: dict, avoid: Iterable[str] = (), holes
     return tuple(p for cls, run in groupby(out, type) for p in (["".join(run)] if cls is str else run))
 
 
+def _direct(node: _Node, prec: int, memo: dict) -> str | None:
+    """_part's text of node, or of an implication of two parts, in a context of precedence prec."""
+    if type(node) is not Implies:
+        return _part(node, memo, 2)  # such a text is never wrapped
+    left, right = _part(node.left, memo, 2), _part(node.right, memo, 2)
+    if left is None or right is None:
+        return None
+    return f"({left} -> {right})" if prec > _PREC_IMP else f"{left} -> {right}"
+
+
 def _part(node: _Node, memo: dict, depth: int) -> str | None:
     """node's text outside every binder, if known without the work stack: a Var's
     name, a term's or atom's memoized text, or an App or Atom composed, and
@@ -820,9 +845,14 @@ def _part(node: _Node, memo: dict, depth: int) -> str | None:
         return node.name
     text = memo.get(id(node)) if cls in _SHARED else None
     if text is None and depth and (cls is App or cls is Atom):
-        args = [_part(a, memo, depth - 1) for a in node.args]
-        if None not in args:
-            text = memo[id(node)] = f"{node._label()}({', '.join(args)})" if args else node._label()
+        args = node.args
+        if len(args) == 1:  # most are: no list to build
+            inner = memo.get(id(args[0])) or _part(args[0], memo, depth - 1)
+        else:
+            args = [memo.get(id(a)) or _part(a, memo, depth - 1) for a in args]
+            inner = None if None in args else ", ".join(args)
+        if inner is not None:
+            text = memo[id(node)] = f"{node._label()}({inner})" if args else node._label()
     return text
 
 

@@ -11,8 +11,9 @@ the per-valuation evaluators are their reference in the tests.  The
 reference algorithms at the end keep the package's replaced ones: critical
 readings by instantiate-and-compare, subordinates by a stack walk, and the
 prover's search by structural match, which normalizes its input with
-semantics._norm so that it visits the same sequents as prove_H, and the
-printer through its work stack alone.
+semantics._norm so that it visits the same sequents as prove_H, the
+printer through its work stack alone, and each node's stored facts by the
+plain formulas over its children.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from epsitau.syntax import (
     Term,
     Top,
     Var,
+    _ETAU,
     _INFIX,
     _KEYWORD,
     _LEAVE,
@@ -57,6 +59,7 @@ from epsitau.syntax import (
     _PREC_ATOM,
     _PREC_IMP,
     _PREC_NOT,
+    _QUANT,
     _SHARED,
     _nodes,
     abstract_var,
@@ -1053,6 +1056,37 @@ def stack_fmt(obj, canonical: bool, memo: dict, avoid: Iterable[str] = (), holes
     if holes is None:
         return "".join(out)
     return tuple(p for cls, run in itertools.groupby(out, type) for p in (["".join(run)] if cls is str else run))
+
+
+# ---------------------------------------------------------------------------
+# Reference node facts: the plain formulas over the children
+
+
+def node_facts(node) -> tuple[int, frozenset, int]:
+    """(hash, free variables, info) that the constructors store on node, from
+    its children by the plain formulas: the hash of (label, args), (left,
+    right) or (child,), each child hashed through its __hash__, and one fold
+    of the children's free variables and flags, which a binder takes past
+    itself with its own flag and one escape level fewer."""
+    cls, kids = type(node), node._kids()
+    if cls is Var:
+        return hash((node.name,)), frozenset((node.name,)), 0
+    if cls is Bound:
+        return hash((node.index,)), frozenset(), (node.index + 1) << 2
+    if cls is Top or cls is Bot:
+        return hash(()), frozenset(), 0
+    if cls is App or cls is Atom:
+        h = hash((node._label(), node.args))
+    else:
+        h = hash(kids)
+    fv, info = frozenset(), 0
+    for k in kids:
+        fv |= k._fv
+        info = max(info, k._info) | ((info | k._info) & 3)
+    if isinstance(node, BINDERS):
+        flag = _ETAU if isinstance(node, BINDER_TERMS) else _QUANT
+        info = max((info >> 2) - 1, 0) << 2 | (info & 3) | flag
+    return h, fv, info
 
 
 def chain_witness_judgment():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -636,6 +637,29 @@ def test_result_is_printed_once_when_it_is_the_last_goal(capsys, tmp_path, monke
         [printed] = [line.removeprefix("result: ") for line in out.splitlines() if line.startswith("result: ")]
         last = [line for line in out.splitlines() if line.startswith("  goal: ")][-1].removeprefix("  goal: ")
     assert (printed, printed == last) == (to_text(trace.result), not grounded)
+
+
+def test_lc6_k4_cell_builds_the_same_nodes(capsys, tmp_path, monkeypatch):
+    # the grid cell's elimination and text trace construct 16,587 nodes, 67
+    # of them intern-table hits; the same count of each class as ever: a
+    # node costs less to build, and none goes unbuilt or is built otherwise
+    built, hits = [], []
+    intern = syntax._intern
+
+    def count(node):
+        built.append(type(node).__name__)
+        out = intern(node)
+        hits.append(out is not node)
+        return out
+
+    path = tmp_path / "judgment.txt"
+    path.write_text(dump_judgment(grid_judgment("lc6", 4)))
+    monkeypatch.setattr(syntax, "_intern", count)
+    code, out, err = run_cli(capsys, "eliminate", str(path), "--verify", "none")
+    assert (code, err) == (0, "")
+    assert (len(built), sum(hits)) == (16587, 67)
+    assert Counter(built) == {"And": 2, "App": 4099, "Atom": 4194, "Bound": 22, "Eps": 32,
+                              "Implies": 4119, "Or": 4094, "Var": 25}
 
 
 def _trace_blocks(text: str) -> list[list[str]]:

@@ -13,11 +13,13 @@ from epsitau.syntax import (
     And,
     App,
     Atom,
+    Eps,
     Exists,
     Forall,
     Implies,
     Not,
     Or,
+    Tau,
     Term,
     Var,
     canonical_text,
@@ -48,7 +50,15 @@ from epsitau.syntax import (
 from epsitau.translate import et_translate
 from epsitau.parser import parse_formula as pf, parse_term as pt
 
-from helpers import random_formula, random_matrix, random_qf_formula, random_term, stack_fmt
+from helpers import (
+    node_facts,
+    random_binder_term,
+    random_formula,
+    random_matrix,
+    random_qf_formula,
+    random_term,
+    stack_fmt,
+)
 
 
 def test_alpha_eq_renamed_binder():
@@ -271,6 +281,48 @@ def test_sharing_interns_alpha_equal_terms_and_keeps_binder_names():
     assert a is c  # one node per structure and binder names
     assert a is not b and (to_text(a), to_text(b)) == ("eps x. P(x)", "eps y. P(y)")
     assert text == "P(eps x. P(x)) & P(eps y. P(y))"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_constructors_store_the_facts_of_the_plain_formulas(seed):
+    # each node reads its hash, free variables and flags off its children's
+    # stored facts; they equal the plain formulas over the children, so the
+    # hash values, and with them the order of every set of nodes, stay put
+    rng = random.Random(seed)
+    nested = "eps x. A(eps y. B(x, eps z. C(x, y, z)), tau w. D(w, x))"  # indices escape two binders
+    for scope in (contextlib.nullcontext, sharing):
+        with scope():
+            objs = [random_binder_term(rng, 4, ["v"]) for _ in range(3)] + [pt(nested)]
+            objs += [random_formula(rng, 3, ["v", "w"]) for _ in range(3)]
+            objs += [rng.choice((forall, exists))("v", Not(rng.choice(objs[-3:])))]
+            objs += [Atom("P", tuple(objs[:3])), or_join(objs[-4:]), Implies(objs[-1], objs[-2])]
+        nodes = list(dict.fromkeys(n for o in objs for n in syntax._nodes(o)))
+        assert [(n._hash, n._fv, n._info) for n in nodes] == [node_facts(n) for n in nodes]
+        assert any(n._info >> 2 >= 3 for n in nodes)
+
+
+def test_sharing_never_returns_a_node_of_another_class():
+    # the intern table is keyed by node, and nodes of different classes over
+    # the same children share a hash; equality tells the classes apart, so
+    # each constructor returns a node of its own class, the first one built
+    a, b, u, body = pf("A(u)"), pf("B(u)"), pt("u"), pf("C(x)")
+    groups = [
+        [(And, (a, b)), (Or, (a, b)), (Implies, (a, b))],
+        [(Not, (body,)), (Forall, ("x", body)), (Exists, ("x", body)), (Eps, ("x", body)), (Tau, ("x", body))],
+        [(App, ("P", (u,))), (Atom, ("P", (u,)))],
+    ]
+    with sharing():
+        for group in groups:
+            first = [cls(*args) for cls, args in group]
+            assert [type(n) for n in first] == [cls for cls, _ in group]
+            assert len({hash(n) for n in first}) == 1 and len({id(n) for n in first}) == len(group)
+            again = [cls(*args) for cls, args in reversed(group)]
+            assert all(map(operator.is_, again, reversed(first)))
+        x, z = eps("x", pf("C(x)")), eps("z", pf("C(z)"))
+        assert x == z and x is not z
+        assert eps("z", pf("C(z)")) is z and eps("x", pf("C(x)")) is x
+        assert (to_text(x), to_text(z)) == ("eps x. C(x)", "eps z. C(z)")
 
 
 def test_long_disjunction_needs_no_recursion():
