@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -31,6 +30,8 @@ EXIT_BUDGET = 3
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
+        import json  # here, so that a run printing no JSON does not load it
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:

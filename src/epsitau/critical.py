@@ -9,7 +9,6 @@ elimination procedure's termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .syntax import (
@@ -18,6 +17,7 @@ from .syntax import (
     Eps,
     Formula,
     Implies,
+    Record,
     Term,
     Var,
     canonical_text,
@@ -37,8 +37,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class CriticalFormula:
+class CriticalFormula(Record):
     """One reading of a formula as a critical formula.
 
     critical_term is the binder term whose body is the matrix; witness is
@@ -46,8 +45,10 @@ class CriticalFormula:
     critical term.
     """
 
-    critical_term: Term
-    witness: Term
+    __slots__ = _fields = ("critical_term", "witness")
+
+    def __init__(self, critical_term: Term, witness: Term) -> None:
+        self.critical_term, self.witness = critical_term, witness
 
     @property
     def kind(self) -> str:

@@ -12,8 +12,6 @@ decreases and the process stops.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import semantics
@@ -32,6 +30,7 @@ from .syntax import (
     Eps,
     Formula,
     Not,
+    Record,
     Term,
     Var,
     canonical_text,
@@ -78,33 +77,38 @@ class EliminationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class EliminationStep:
-    target: Term
-    eliminated: tuple[Formula, ...]
-    elimination_set: tuple[Term, ...]
-    axiom_instances_used: Sequence[semantics.Instance]  # a tuple, or a Bm step's ChainFamily
-    after: Judgment
-    raw_disjunct_count: int
+class EliminationStep(Record):
+    __slots__ = _fields = (
+        "target", "eliminated", "elimination_set", "axiom_instances_used", "after", "raw_disjunct_count"
+    )
+
+    def __init__(
+        self, target: Term, eliminated: tuple[Formula, ...], elimination_set: tuple[Term, ...],
+        axiom_instances_used: Sequence[semantics.Instance], after: Judgment, raw_disjunct_count: int,
+    ) -> None:
+        self.target, self.eliminated, self.elimination_set = target, eliminated, elimination_set
+        self.axiom_instances_used = axiom_instances_used  # a tuple, or a Bm step's ChainFamily
+        self.after, self.raw_disjunct_count = after, raw_disjunct_count
 
 
-@dataclass(frozen=True, slots=True)
-class EliminationTrace:
-    steps: tuple[EliminationStep, ...]
-    result: Formula
-    grounding: tuple[tuple[Term, str], ...]
+class EliminationTrace(Record):
+    __slots__ = _fields = ("steps", "result", "grounding")
+
+    def __init__(
+        self, steps: tuple[EliminationStep, ...], result: Formula, grounding: tuple[tuple[Term, str], ...]
+    ) -> None:
+        self.steps, self.result, self.grounding = steps, result, grounding
 
     @property
     def result_is_last_goal(self) -> bool:  # _finish kept the last step's goal: both print alike
         return bool(self.steps) and self.result is self.steps[-1].after.goal
 
 
-@dataclass(frozen=True, slots=True)
-class FailureReport:
-    step_index: int
-    target: Term
-    formula: Formula
-    reason: str
+class FailureReport(Record):
+    __slots__ = _fields = ("step_index", "target", "formula", "reason")
+
+    def __init__(self, step_index: int, target: Term, formula: Formula, reason: str) -> None:
+        self.step_index, self.target, self.formula, self.reason = step_index, target, formula, reason
 
     def __str__(self) -> str:
         return (
@@ -130,7 +134,7 @@ def judgment_readings(j: Judgment) -> dict[Term, list[tuple[Formula, CriticalFor
         for f in j.criticals:
             for r in recognize_critical(f):
                 out.setdefault(r.critical_term, []).append((f, r))
-        object.__setattr__(j, "reading_index", out)
+        j.reading_index = out
     return j.reading_index
 
 
@@ -264,8 +268,7 @@ def _word_paths(words: dict[tuple[int, ...], Formula], length: int) -> list[list
     ]
 
 
-@dataclass(frozen=True, slots=True)
-class ChainFamily(Sequence[semantics.Instance]):
+class ChainFamily(Record, Sequence[semantics.Instance]):
     """A chain step's m-link chains, built once, when first iterated or indexed.
 
     In _words' order, the chain A(w e), ..., A(e) through each word w of length
@@ -273,12 +276,14 @@ class ChainFamily(Sequence[semantics.Instance]):
     each first atom.  None repeats (README, Text trace): k^m + |firsts| k^(m-1).
     """
 
-    e: Term
-    contexts: tuple[Term, ...]
-    m: int
-    firsts: tuple[Formula, ...]
-    polarity: str
-    chains: tuple[semantics.Instance, ...] | None = field(default=None, init=False, compare=False, repr=False)
+    _fields = ("e", "contexts", "m", "firsts", "polarity")
+    __slots__ = (*_fields, "chains")
+
+    def __init__(
+        self, e: Term, contexts: tuple[Term, ...], m: int, firsts: tuple[Formula, ...], polarity: str
+    ) -> None:
+        self.e, self.contexts, self.m, self.firsts, self.polarity = e, contexts, m, firsts, polarity
+        self.chains: tuple[semantics.Instance, ...] | None = None  # not part of equality or hashing
 
     def __len__(self) -> int:
         k = len(self.contexts)
@@ -286,7 +291,7 @@ class ChainFamily(Sequence[semantics.Instance]):
 
     def __getitem__(self, i):  # Sequence iterates by index
         if self.chains is None:
-            object.__setattr__(self, "chains", self._expand())
+            self.chains = self._expand()
         return self.chains[i]
 
     def _expand(self) -> tuple[semantics.Instance, ...]:
@@ -543,6 +548,8 @@ def reconstruct_from_herbrand(
 
 
 def trace_to_json(trace: EliminationTrace, logic: Logic) -> str:
+    import json  # here, so that a run printing no JSON does not load it
+
     memo: dict = {}  # one text memo for the document; see syntax.to_text
     doc = {
         "version": 1,

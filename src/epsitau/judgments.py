@@ -11,16 +11,15 @@ on the step, and the judgment after it has none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import parser
-from .syntax import Formula, dedup, is_quantifier_free, to_text
+from .syntax import Formula, Record, dedup, is_quantifier_free, to_text
 
 
-@dataclass(frozen=True, slots=True)
-class Logic:
-    kind: str  # "classical", "lcm", "lc", "kc", "h"
-    m: int | None = None
+class Logic(Record):
+    __slots__ = _fields = ("kind", "m")
+
+    def __init__(self, kind: str, m: int | None = None) -> None:
+        self.kind, self.m = kind, m  # kind: "classical", "lcm", "lc", "kc", "h"
 
     def __str__(self) -> str:
         return f"lc{self.m}" if self.kind == "lcm" else self.kind
@@ -53,15 +52,17 @@ def parse_logic(text: str) -> Logic:
     raise ValueError(f"unknown logic {text!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Judgment:
-    logic: Logic
-    criticals: tuple[Formula, ...]
-    instances: tuple[Formula, ...]
-    goal: Formula
-    # Critical readings by term, built on first use by
-    # eliminate.judgment_readings; not part of equality or hashing.
-    reading_index: dict | None = field(default=None, init=False, repr=False, compare=False)
+class Judgment(Record):
+    _fields = ("logic", "criticals", "instances", "goal")
+    __slots__ = (*_fields, "reading_index")
+
+    def __init__(
+        self, logic: Logic, criticals: tuple[Formula, ...], instances: tuple[Formula, ...], goal: Formula
+    ) -> None:
+        self.logic, self.criticals, self.instances, self.goal = logic, criticals, instances, goal
+        # Critical readings by term, built on first use by
+        # eliminate.judgment_readings; not part of equality or hashing.
+        self.reading_index: dict | None = None
 
 
 def make_judgment(logic, criticals, goal, instances=()) -> Judgment:

@@ -13,7 +13,6 @@ round-trips modulo whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .syntax import (
     App,
@@ -25,6 +24,7 @@ from .syntax import (
     Not,
     And,
     Or,
+    Record,
     Term,
     Var,
     eps,
@@ -34,8 +34,11 @@ from .syntax import (
 )
 
 KEYWORDS = {"eps", "tau", "all", "ex", "top", "bot"}
-_TOKEN_RE = re.compile(r"\s*(->|[()~&|,.]|[A-Za-z_][A-Za-z0-9_']*)")
+# A token after optional whitespace, or else one visible character, an error:
+# so each match starts where the last one ended, and only whitespace trails them.
+_TOKEN_RE = re.compile(r"\s*(?:(->|[()~&|,.]|[A-Za-z_][A-Za-z0-9_']*)|\S)")
 _VAR_RE = re.compile(r"[u-z][0-9']*\Z")
+_PUNCT = "-()~&|,."  # the first characters of _TOKEN_RE's punctuation
 
 
 class ParseError(ValueError):
@@ -44,31 +47,22 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass
-class _Token:
-    kind: str  # "ident", "kw", or the punctuation itself
-    value: str
-    pos: int
+class _Token(Record):
+    __slots__ = _fields = ("kind", "value", "pos")
+
+    def __init__(self, kind: str, value: str, pos: int) -> None:
+        self.kind, self.value, self.pos = kind, value, pos  # kind: "ident", "kw", or the punctuation itself
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text; a match's first character tells punctuation from a word."""
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError("unexpected character", pos, text)
-            break
+    for m in _TOKEN_RE.finditer(text):
         value = m.group(1)
-        if value in KEYWORDS:
-            kind = "kw"
-        elif re.match(r"[A-Za-z_]", value):
-            kind = "ident"
-        else:
-            kind = value
+        if value is None:
+            raise ParseError("unexpected character", m.start(), text)
+        kind = value if value[0] in _PUNCT else "kw" if value in KEYWORDS else "ident"
         tokens.append(_Token(kind, value, m.start(1)))
-        pos = m.end()
     tokens.append(_Token("eof", "", len(text)))
     return tokens
 

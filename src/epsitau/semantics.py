@@ -20,7 +20,6 @@ verify_judgment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .judgments import H, Judgment, Logic
@@ -34,6 +33,7 @@ from .syntax import (
     Implies,
     Not,
     Or,
+    Record,
     TOP,
     Top,
     _nodes,
@@ -275,8 +275,7 @@ def schema(
     raise ValueError(f"unknown schema kind {kind!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Instance:
+class Instance(Record):
     """A schema instance as an elimination step records it, without its formula.
 
     The step certifies it by proves(logic, kind, arity).  At one kind,
@@ -284,9 +283,10 @@ class Instance:
     step dedups its records as it would their formulas.
     """
 
-    kind: str
-    polarity: str
-    atoms: tuple[Formula, ...]
+    __slots__ = _fields = ("kind", "polarity", "atoms")
+
+    def __init__(self, kind: str, polarity: str, atoms: tuple[Formula, ...]) -> None:
+        self.kind, self.polarity, self.atoms = kind, polarity, atoms
 
     @property
     def arity(self) -> int:
@@ -436,14 +436,18 @@ def prove_H(premises: Iterable[Formula], goal: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Backend dispatch
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(Record):
     """A backend's answer, true iff the query holds, and what refutes it if not."""
 
-    holds: bool
-    chain_size: int | None = None  # a chain refutes it: the chain's size and
-    countervaluation: Valuation | None = None  # a valuation keyed by atom text
-    instance: Formula | None = None  # a judgment's first refuted instance
+    __slots__ = _fields = ("holds", "chain_size", "countervaluation", "instance")
+
+    def __init__(
+        self, holds: bool, chain_size: int | None = None, countervaluation: Valuation | None = None,
+        instance: Formula | None = None,
+    ) -> None:
+        self.holds, self.chain_size = holds, chain_size  # a chain refutes it: the chain's size and
+        self.countervaluation = countervaluation  # a valuation keyed by atom text
+        self.instance = instance  # a judgment's first refuted instance
 
     def __bool__(self) -> bool:
         return self.holds
@@ -551,7 +555,7 @@ def verify_judgment(j: Judgment, budget: int = DEFAULT_BUDGET) -> Verdict:
     for inst in j.instances:
         verdict = decide(j.logic, [], inst, budget)
         if not verdict:
-            return replace(verdict, instance=inst)
+            return Verdict(verdict.holds, verdict.chain_size, verdict.countervaluation, inst)
     return decide(j.logic, j.criticals, j.goal, budget)
 
 

@@ -51,6 +51,33 @@ class SortError(TypeError):
     """Raised when a term is used where a formula is expected, or vice versa."""
 
 
+class Record:
+    """A plain slotted record, immutable by convention as nodes are.
+
+    A subclass names in _fields the two or more fields that equality, hashing
+    and repr read: records are equal iff they are of one class with equal
+    fields, and a record hashes as the tuple of those fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # Nodes
 

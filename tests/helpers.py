@@ -12,13 +12,13 @@ reference algorithms at the end keep the package's replaced ones: critical
 readings by instantiate-and-compare, subordinates by a stack walk, and the
 prover's search by structural match, which normalizes its input with
 semantics._norm so that it visits the same sequents as prove_H, the
-printer through its work stack alone, and each node's stored facts by the
-plain formulas over its children.
+printer through its work stack alone, each node's stored facts by the
+plain formulas over its children, and the tokens by a second pattern per
+word.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -27,7 +27,7 @@ from typing import Iterable
 
 from epsitau.critical import CriticalFormula, make_critical, recognize_critical
 from epsitau.judgments import CLASSICAL, Judgment, make_judgment
-from epsitau.parser import parse_formula
+from epsitau.parser import ParseError, parse_formula
 from epsitau.semantics import Instance, _norm, schema
 from epsitau.syntax import (
     BINDER_TERMS,
@@ -790,7 +790,8 @@ def recorded_judgment(step):
     verify_judgment then decides each recorded instance as well, as it does
     any instance given from outside a run.
     """
-    return dataclasses.replace(step.after, instances=recorded(step))
+    after = step.after
+    return Judgment(after.logic, after.criticals, recorded(step), after.goal)
 
 
 _FAMILY_LINE = re.compile(
@@ -1087,6 +1088,34 @@ def node_facts(node) -> tuple[int, frozenset, int]:
         flag = _ETAU if isinstance(node, BINDER_TERMS) else _QUANT
         info = max((info >> 2) - 1, 0) << 2 | (info & 3) | flag
     return h, fv, info
+
+
+# ---------------------------------------------------------------------------
+# Reference tokenizer: one match per token from where the last one ended
+
+
+def reference_tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, position) of each token of text, the end marker last; a
+    word's kind is read by a second pattern.  Raises the parser's ParseError
+    where no token starts and text has more than whitespace left."""
+    token = re.compile(r"\s*(->|[()~&|,.]|[A-Za-z_][A-Za-z0-9_']*)")
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = token.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ParseError("unexpected character", pos, text)
+            break
+        value = m.group(1)
+        if value in ("eps", "tau", "all", "ex", "top", "bot"):
+            kind = "kw"
+        elif re.match(r"[A-Za-z_]", value):
+            kind = "ident"
+        else:
+            kind = value
+        tokens.append((kind, value, m.start(1)))
+        pos = m.end()
+    return tokens + [("eof", "", len(text))]
 
 
 def chain_witness_judgment():

@@ -596,6 +596,32 @@ def test_prover_recursion_limit_is_not_an_invalid_answer():
 
 
 @pytest.mark.parametrize(
+    "argv, code, keys",
+    [
+        (["check", "--logic", "lc", "A | ~A"], 1, {"logic", "valid", "chain_size", "countervaluation"}),
+        (["verify", "JUDGMENT"], 0, {"logic", "holds"}),
+        (["eliminate", "JUDGMENT"], 0, {"version", "logic", "steps", "result", "grounding"}),
+    ],
+    ids=["check", "verify", "eliminate"],
+)
+def test_json_output_of_a_fresh_interpreter_parses(capsys, tmp_path, argv, code, keys):
+    # json is imported only where JSON is printed, so only a fresh interpreter,
+    # which has not loaded it yet, shows that each printer imports it
+    path = tmp_path / "lc3.txt"
+    path.write_text(dump_judgment(lc3_worked_judgment()))
+    src = str(Path(semantics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [str(path) if a == "JUDGMENT" else a for a in argv]
+    run = subprocess.run(
+        [sys.executable, "-m", "epsitau", "--format", "json", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (run.returncode, run.stderr) == (code, "")
+    assert set(json.loads(run.stdout)) == keys
+    assert run_cli(capsys, "--format", "json", *argv) == (code, run.stdout, "")
+
+
+@pytest.mark.parametrize(
     "golden, judgment, verify",
     [
         ("lc3_worked_trace.txt", lc3_worked_judgment, "full"),

@@ -52,3 +52,15 @@ def test_cli_import_needs_no_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = "import sys, epsitau.cli; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    # the records are plain slotted classes, and json is imported where JSON is printed
+    src = str(Path(epsitau.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, epsitau.cli; epsitau.cli.build_parser(); "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout.strip(), run.stderr) == (0, "", "")
